@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .roots import (
@@ -271,43 +270,13 @@ def _hyperplane_weight(space: ParabolicSpace) -> Weight:
     return weight(*coords)
 
 
-@lru_cache(maxsize=None)
-def _calibrated_spinor_constant(space: ParabolicSpace) -> Fraction:
-    """Leading coordinate of the spinor weight, fixed by acyclicity.
-
-    The free constant c is pinned by requiring every twist Sigma(t) for
-    t = -1 .. -dim to be acyclic, over all sign choices; the search over
-    half-integral candidates must leave exactly one survivor.
-    """
-    rs = space.rs
-    n = rs.rank
-    signs = [Fraction(1, 2)] if rs.family == "B" else [Fraction(1, 2), Fraction(-1, 2)]
-    hyper = _hyperplane_weight(space)
-    survivors = []
-    for numer in range(-9, 10, 2):
-        c = Fraction(numer, 2)
-        ok = True
-        for last in signs:
-            coords = [c] + [Fraction(1, 2)] * (n - 2) + [last] if n >= 2 else [c]
-            lam = Weight(tuple(coords))
-            for t in range(-1, -space.dim - 1, -1):
-                tw = lam + hyper.scale(t)
-                if make_dominant_dot(rs, None, tw) is not None:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            survivors.append(c)
-    assert len(survivors) == 1, f"spinor calibration on {space} found {survivors}"
-    return survivors[0]
-
-
 def spinor_weight(space: ParabolicSpace, sign: int = 0) -> Weight:
     """Highest weight of the (twist-normalized) spinor bundle on a quadric.
 
     sign selects the half-spinor on even quadrics (+1 or -1); pass 0 on odd
-    quadrics where there is a single spinor bundle.
+    quadrics where there is a single spinor bundle.  The weight is
+    (1/2, ..., 1/2), with the last sign flipped for sign=-1: the leading 1/2
+    is the constant that makes every twist Sigma(-1) .. Sigma(-dim) acyclic.
     """
     if not _is_quadric(space):
         raise ExcolError(f"{space} is not a quadric")
@@ -318,12 +287,11 @@ def spinor_weight(space: ParabolicSpace, sign: int = 0) -> Weight:
     else:
         if sign not in (1, -1):
             raise ExcolError("even quadrics need sign=+1 or sign=-1")
-    c = _calibrated_spinor_constant(space)
     half = Fraction(1, 2)
-    tail = [half] * (rs.rank - 1)
+    coords = [half] * rs.rank
     if rs.family == "D" and sign == -1:
-        tail[-1] = -half
-    return Weight(tuple([c] + tail))
+        coords[-1] = -half
+    return Weight(tuple(coords))
 
 
 _NAME_RES = [

@@ -2,13 +2,12 @@
 
 Characters are finite multiplicity maps weight -> positive integer.  The
 irreducible character is computed by Freudenthal's recursion over the
-subsystem, dimensions by the Weyl product formula, tensor products by
-character multiplication followed by greedy highest-weight extraction.
+subsystem, dimensions by the Weyl product formula, tensor products by the
+Brauer-Klimyk (Racah-Speiser) formula.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -18,9 +17,10 @@ from .roots import (
     RootSystem,
     Subsystem,
     Weight,
-    coroot_pairing,
     is_dominant,
+    make_dominant_dot,
     plain_dominantize,
+    reflect,
     subsystem,
     validate_weight,
     weyl_orbit,
@@ -50,9 +50,7 @@ class Character:
         return sum(self.mults.values())
 
 
-# In-memory memo of irreducible characters.  Concurrent reads are safe;
-# writes are serialized by the lock.  Results never depend on the cache.
-_cache_lock = threading.Lock()
+# In-memory memo of irreducible characters.  Results never depend on it.
 _cache: dict[tuple, dict[Weight, int]] = {}
 _cache_enabled = True
 _disk_cache_dir: str | None = None
@@ -64,8 +62,7 @@ def set_character_cache(enabled: bool) -> None:
 
 
 def clear_character_cache() -> None:
-    with _cache_lock:
-        _cache.clear()
+    _cache.clear()
 
 
 def attach_disk_cache(directory: str | None) -> None:
@@ -74,46 +71,56 @@ def attach_disk_cache(directory: str | None) -> None:
     _disk_cache_dir = directory
 
 
-def _disk_key(rs: RootSystem, mask: frozenset[int], lam: Weight) -> str:
+# Bumped whenever the file format or the meaning of an entry changes.
+_DISK_FORMAT = 2
+
+
+def _disk_path(sub: Subsystem, lam: Weight) -> str:
     import hashlib
-
-    raw = f"{rs.family}|{rs.rank}|{sorted(mask)}|{[str(c) for c in lam.coords]}"
-    return hashlib.sha256(raw.encode()).hexdigest()
-
-
-def _disk_load(key: str, dim: int) -> dict[Weight, int] | None:
-    import json
     import os
+
+    coords = [str(c) for c in lam.coords]
+    raw = f"v{_DISK_FORMAT}|{sub.rs.family}|{sub.rs.rank}|{sorted(sub.mask)}|{coords}"
+    key = hashlib.sha256(raw.encode()).hexdigest()
+    return os.path.join(_disk_cache_dir, key + ".json")
+
+
+def _disk_load(sub: Subsystem, lam: Weight) -> dict[Weight, int] | None:
+    """Read a cached character; anything that fails a check is a miss."""
+    import json
 
     if _disk_cache_dir is None:
         return None
-    path = os.path.join(_disk_cache_dir, key + ".json")
-    if not os.path.exists(path):
-        return None
     try:
-        with open(path) as fh:
+        with open(_disk_path(sub, lam)) as fh:
             data = json.load(fh)
-    except (OSError, ValueError):
+        out: dict[Weight, int] = {}
+        for item in data:
+            w = Weight(tuple(Fraction(str(c)) for c in item["w"]))
+            validate_weight(sub.rs, w)
+            m = item["m"]
+            if type(m) is not int or m <= 0 or w in out:
+                return None
+            out[w] = m
+    except (OSError, ValueError, TypeError, KeyError, ZeroDivisionError):
         return None
-    out: dict[Weight, int] = {}
-    for item in data:
-        coords = tuple(Fraction(str(c)) for c in item["w"])
-        if len(coords) != dim:
+    if out.get(lam) != 1 or sum(out.values()) != weyl_dim(sub.rs, sub.mask, lam):
+        return None
+    for w, m in out.items():
+        if any(out.get(reflect(w, a)) != m for a in sub.simple_roots):
             return None
-        out[Weight(coords)] = int(item["m"])
     return out
 
 
-def _disk_store(key: str, mults: dict[Weight, int]) -> None:
+def _disk_store(sub: Subsystem, lam: Weight, mults: dict[Weight, int]) -> None:
     import json
     import os
 
     if _disk_cache_dir is None:
         return
     os.makedirs(_disk_cache_dir, exist_ok=True)
-    path = os.path.join(_disk_cache_dir, key + ".json")
-    if os.path.exists(path):
-        return
+    # an existing file here failed _disk_load's checks, so it is replaced
+    path = _disk_path(sub, lam)
     items = [
         {"w": [str(c) for c in w.coords], "m": m}
         for w, m in sorted(mults.items(), key=lambda kv: kv[0].coords)
@@ -207,16 +214,13 @@ def irrep_character(
 
     key = (rs.family, rs.rank, sub.mask, lam)
     if _cache_enabled:
-        with _cache_lock:
-            hit = _cache.get(key)
+        hit = _cache.get(key)
+        if hit is None:
+            hit = _disk_load(sub, lam)
+            if hit is not None:
+                _cache[key] = hit
         if hit is not None:
             return Character(rs, sub.mask, dict(hit))
-        dkey = _disk_key(rs, sub.mask, lam)
-        disk = _disk_load(dkey, rs.dim)
-        if disk is not None:
-            with _cache_lock:
-                _cache[key] = disk
-            return Character(rs, sub.mask, dict(disk))
 
     mults = _freudenthal(sub, lam)
     dim_check = weyl_dim(rs, mask, lam)
@@ -224,16 +228,9 @@ def irrep_character(
         f"character of {lam} sums to {sum(mults.values())}, Weyl dim is {dim_check}"
     )
     if _cache_enabled:
-        with _cache_lock:
-            _cache[key] = mults
-        _disk_store(_disk_key(rs, sub.mask, lam), mults)
+        _cache[key] = mults
+        _disk_store(sub, lam, mults)
     return Character(rs, sub.mask, dict(mults))
-
-
-def _dominated(sub: Subsystem, lo: Weight, hi: Weight) -> bool:
-    """True iff hi - lo is a nonnegative combination of subsystem simple roots."""
-    coeffs = sub.coefficients(hi - lo)
-    return coeffs is not None and all(c >= 0 for c in coeffs)
 
 
 def tensor_decompose(
@@ -241,46 +238,32 @@ def tensor_decompose(
 ) -> list[tuple[Weight, int]]:
     """Decompose V_lam (x) V_mu into irreducibles over the subsystem.
 
-    Greedy extraction: multiply characters, then repeatedly remove the
-    character of a dominance-maximal dominant weight still present, breaking
-    ties lexicographically.  Dimension conservation is asserted on the result.
+    Brauer-Klimyk: with V_mu the factor of smaller dimension, each weight nu
+    of V_mu with multiplicity m contributes (-1)^l m copies of V_dom, where
+    (l, dom) dot-dominantizes lam + nu; singular weights contribute nothing
+    (Humphreys, Introduction to Lie Algebras, section 24).  The result is
+    sorted by coordinates, descending; dimension conservation is asserted.
     """
     sub = subsystem(rs, mask)
-    ca = irrep_character(rs, mask, lam).mults
-    cb = irrep_character(rs, mask, mu).mults
+    dim_lam = weyl_dim(rs, sub.mask, lam)
+    dim_mu = weyl_dim(rs, sub.mask, mu)
+    if dim_mu > dim_lam:
+        lam, mu = mu, lam
+    counts: dict[Weight, int] = {}
+    for nu, m in irrep_character(rs, sub.mask, mu).mults.items():
+        hit = make_dominant_dot(rs, sub.mask, lam + nu)
+        if hit is not None:
+            length, dom = hit
+            counts[dom] = counts.get(dom, 0) + (-m if length % 2 else m)
 
-    product: dict[Weight, int] = {}
-    for wa, ma in ca.items():
-        for wb, mb in cb.items():
-            w = wa + wb
-            product[w] = product.get(w, 0) + ma * mb
-    target_dim = sum(product.values())
-
-    out: list[tuple[Weight, int]] = []
-    remaining = {w: m for w, m in product.items() if m}
-    while remaining:
-        dominants = [w for w in remaining if is_dominant(sub, w)]
-        assert dominants, "nonzero remainder without a dominant weight"
-        maximal = [
-            w
-            for w in dominants
-            if not any(v != w and _dominated(sub, w, v) for v in dominants)
-        ]
-        head = max(maximal, key=lambda w: w.coords)
-        count = remaining[head]
-        assert count > 0, "greedy extraction produced a negative multiplicity"
-        for w, m in irrep_character(rs, mask, head).mults.items():
-            left = remaining.get(w, 0) - count * m
-            assert left >= 0, "greedy extraction drove a multiplicity negative"
-            if left:
-                remaining[w] = left
-            else:
-                remaining.pop(w, None)
-        out.append((head, count))
-
-    total = sum(cnt * weyl_dim(rs, mask, w) for w, cnt in out)
-    assert total == target_dim, "tensor decomposition must conserve dimension"
-    out.sort(key=lambda p: p[0].coords, reverse=True)
+    out = sorted(
+        ((w, c) for w, c in counts.items() if c),
+        key=lambda p: p[0].coords,
+        reverse=True,
+    )
+    assert all(c > 0 for _, c in out), "Brauer-Klimyk left a negative multiplicity"
+    total = sum(cnt * weyl_dim(rs, sub.mask, w) for w, cnt in out)
+    assert total == dim_lam * dim_mu, "tensor decomposition must conserve dimension"
     return out
 
 

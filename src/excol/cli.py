@@ -26,9 +26,11 @@ from .bwb import (
     pushforward,
     space_from_string,
 )
-from .homcalc import gram_matrix, kclass_of, mutate_pair_k, thread_check
+from .homcalc import _as_kclass, gram_matrix, mutate_pair_k, thread_check
 from .collections import (
     CollectionSpec,
+    _kclass_json,
+    _weight_json,
     build_beilinson,
     build_igr26,
     build_orthogonal_flag,
@@ -38,7 +40,6 @@ from .collections import (
     load_collection,
     verify,
 )
-from .homcalc import KClass
 
 _BUILDERS = {
     "igr26": (build_igr26, False),
@@ -47,14 +48,6 @@ _BUILDERS = {
     "symplectic": (build_symplectic_flag, True),
     "orthogonal": (build_orthogonal_flag, True),
 }
-
-
-def _frac_json(x: Fraction):
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _weight_json(w: Weight) -> list:
-    return [_frac_json(c) for c in w.coords]
 
 
 def _parse_weight_literal(space: ParabolicSpace, text: str) -> Weight:
@@ -231,12 +224,6 @@ def _cmd_gram(args) -> int:
     return 0
 
 
-def _kclass_json(k: KClass) -> dict:
-    return {
-        "terms": [{"weight": _weight_json(w), "coeff": c} for w, c in k.terms]
-    }
-
-
 def _cmd_mutate(args) -> int:
     coll = _get_collection(args)
     i = args.index
@@ -244,11 +231,9 @@ def _cmd_mutate(args) -> int:
         raise ParseError(
             f"--index must name an adjacent pair: 0 <= i <= {len(coll.objects) - 2}"
         )
-    left = coll.objects[i]
-    right = coll.objects[i + 1]
-    kl = kclass_of(left) if isinstance(left, BundleObject) else left
-    kr = kclass_of(right) if isinstance(right, BundleObject) else right
-    new_left, new_right = mutate_pair_k(kl, kr, args.side)
+    new_left, new_right = mutate_pair_k(
+        _as_kclass(coll.objects[i]), _as_kclass(coll.objects[i + 1]), args.side
+    )
     if args.json:
         print(
             json.dumps(
@@ -369,8 +354,8 @@ def _make_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--jobs",
         type=int,
-        default=os.cpu_count() or 1,
-        help="parallel workers for pair checks",
+        default=1,
+        help="accepted for compatibility and ignored; checks run serially",
     )
     s.set_defaults(fn=_cmd_verify)
     return parser

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .roots import ExcolError, Weight, validate_weight
+from .roots import ExcolError, ParseError, Weight, validate_weight
 from .characters import tensor_decompose, weyl_dim
 from .bwb import (
     BundleObject,
@@ -27,7 +26,14 @@ from .bwb import (
     graded_hom,
     parabolic_space,
 )
-from .homcalc import KClass, _det_exact, euler_pairing, gram_matrix, kclass_of, thread_check
+from .homcalc import (
+    KClass,
+    _as_kclass,
+    _det_exact,
+    euler_pairing,
+    gram_matrix,
+    thread_check,
+)
 
 __all__ = [
     "CollectionSpec",
@@ -396,7 +402,8 @@ def verify(
     pairs (bundle collections only); chi_only checks the same triangle at the
     level of Euler pairings.  Both modes compare length with the Schubert
     cell count and test Gram unimodularity; exact mode also runs the helix
-    thread criterion.
+    thread criterion.  Checks run serially: jobs is accepted for
+    compatibility and ignored.
     """
     start = time.perf_counter()
     if mode not in ("exact", "chi_only"):
@@ -408,46 +415,21 @@ def verify(
             "use chi_only for K-class collections"
         )
     n = len(objs)
+    ks = [_as_kclass(o) for o in objs]
 
     if mode == "exact":
-        diag_tasks = [(i, lambda i=i: _check_diag_exact(objs[i])) for i in range(n)]
-        pair_tasks = [
-            ((j, i), lambda i=i, j=j: _check_pair_exact(objs[j], objs[i]))
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
+        items, check_diag, check_pair = objs, _check_diag_exact, _check_pair_exact
     else:
-        ks = [kclass_of(o) if isinstance(o, BundleObject) else o for o in objs]
-        diag_tasks = [(i, lambda i=i: _check_diag_chi(ks[i])) for i in range(n)]
-        pair_tasks = [
-            ((j, i), lambda i=i, j=j: _check_pair_chi(ks[j], ks[i]))
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-
-    jobs = max(1, int(jobs))
-    if jobs == 1:
-        diag_results = [fn() for _, fn in diag_tasks]
-        pair_results = [fn() for _, fn in pair_tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            diag_futs = [pool.submit(fn) for _, fn in diag_tasks]
-            pair_futs = [pool.submit(fn) for _, fn in pair_tasks]
-            diag_results = [f.result() for f in diag_futs]
-            pair_results = [f.result() for f in pair_futs]
-
-    exceptional = tuple(
-        PairResult(i, i, ok, ev)
-        for (i, _), (ok, ev) in zip(diag_tasks, diag_results)
-    )
+        items, check_diag, check_pair = ks, _check_diag_chi, _check_pair_chi
+    exceptional = tuple(PairResult(i, i, *check_diag(items[i])) for i in range(n))
     semiorthogonal = tuple(
-        PairResult(j, i, ok, ev, fixable)
-        for ((j, i), _), (ok, ev, fixable) in zip(pair_tasks, pair_results)
+        PairResult(j, i, *check_pair(items[j], items[i]))
+        for i in range(n)
+        for j in range(i + 1, n)
     )
 
-    gram = gram_matrix(list(objs))
+    gram = gram_matrix(ks)
     det = _det_exact(gram)
-    det_int = int(det) if det.denominator == 1 else 0
 
     thread_ok: bool | None = None
     thread_trace: tuple[str, ...] = ()
@@ -463,7 +445,7 @@ def verify(
         length=n,
         cells=collection.space.cell_count,
         gram=tuple(tuple(row) for row in gram),
-        det=det_int,
+        det=det,
         thread_ok=thread_ok,
         thread_trace=thread_trace,
         wall_time=time.perf_counter() - start,
@@ -488,6 +470,10 @@ def _weight_json(w: Weight) -> list:
     return [_frac_json(c) for c in w.coords]
 
 
+def _kclass_json(k: KClass) -> dict:
+    return {"terms": [{"weight": _weight_json(w), "coeff": c} for w, c in k.terms]}
+
+
 def _space_json(space: ParabolicSpace) -> dict:
     return {
         "family": space.rs.family,
@@ -505,13 +491,7 @@ def dump_collection(collection: CollectionSpec) -> dict:
                 {"shift": obj.shift, "weight": _weight_json(obj.hw), "mult": 1}
             )
         else:
-            objects.append(
-                {
-                    "terms": [
-                        {"weight": _weight_json(w), "coeff": c} for w, c in obj.terms
-                    ]
-                }
-            )
+            objects.append(_kclass_json(obj))
     return {
         "space": _space_json(collection.space),
         "mode": collection.mode,
@@ -522,33 +502,47 @@ def dump_collection(collection: CollectionSpec) -> dict:
     }
 
 
+def _load_object(space: ParabolicSpace, item: dict) -> "BundleObject | KClass":
+    if "terms" in item:
+        terms: dict[Weight, int] = {}
+        for t in item["terms"]:
+            w = Weight(tuple(_frac_parse(c) for c in t["weight"]))
+            validate_weight(space.rs, w)
+            terms[w] = terms.get(w, 0) + int(t["coeff"])
+        return KClass.from_dict(space, terms)
+    w = Weight(tuple(_frac_parse(c) for c in item["weight"]))
+    mult = int(item.get("mult", 1))
+    if mult != 1:
+        raise ExcolError("bundle objects must have mult = 1")
+    return BundleObject(space, w, int(item.get("shift", 0)))
+
+
 def load_collection(doc: dict) -> CollectionSpec:
     """Parse the JSON document format back into a CollectionSpec."""
     try:
         sp = doc["space"]
         space = parabolic_space(sp["family"], int(sp["rank"]), sp["crossed"])
         raw_objects = doc["objects"]
+    except ExcolError:
+        raise
     except (KeyError, TypeError) as exc:
         raise ExcolError(f"malformed collection document: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"malformed collection document: {exc}") from exc
     if not isinstance(raw_objects, list) or not raw_objects:
         raise ExcolError("collection document needs a nonempty object list")
 
     mode = doc.get("mode")
     objects: list = []
-    for item in raw_objects:
-        if "terms" in item:
-            terms: dict[Weight, int] = {}
-            for t in item["terms"]:
-                w = Weight(tuple(_frac_parse(c) for c in t["weight"]))
-                validate_weight(space.rs, w)
-                terms[w] = terms.get(w, 0) + int(t["coeff"])
-            objects.append(KClass.from_dict(space, terms))
-        else:
-            w = Weight(tuple(_frac_parse(c) for c in item["weight"]))
-            mult = int(item.get("mult", 1))
-            if mult != 1:
-                raise ExcolError("bundle objects must have mult = 1")
-            objects.append(BundleObject(space, w, int(item.get("shift", 0))))
+    for k, item in enumerate(raw_objects):
+        try:
+            objects.append(_load_object(space, item))
+        except ExcolError:
+            raise
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ParseError(
+                f"malformed collection object {k}: {type(exc).__name__}: {exc}"
+            ) from exc
     inferred = "kclasses" if any(isinstance(o, KClass) for o in objects) else "bundles"
     if mode is None:
         mode = inferred
@@ -558,12 +552,12 @@ def load_collection(doc: dict) -> CollectionSpec:
     labels = doc.get("labels")
     if labels is None:
         labels = [f"E{k}" for k in range(len(objects))]
+    if not isinstance(labels, (list, tuple)):
+        raise ParseError("labels must be a list")
     if len(labels) != len(objects):
         raise ExcolError("labels and objects must have equal length")
     if mode == "kclasses":
-        objects = [
-            o if isinstance(o, KClass) else kclass_of(o) for o in objects
-        ]
+        objects = [_as_kclass(o) for o in objects]
     return CollectionSpec(
         space,
         tuple(objects),

@@ -10,7 +10,6 @@ are kept separate so they can cross-check each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -140,50 +139,50 @@ def gram_matrix(
     ]
 
 
-def _det_exact(mat: Sequence[Sequence[int]]) -> Fraction:
+def _bareiss(
+    mat: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]
+) -> tuple[int, list[list[int]] | None]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of [mat | rhs].
+
+    Returns (det mat, adj(mat) rhs); the second is None when mat is singular.
+    Every division is exact, so the whole computation stays in integers.
+    """
     n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+    a = [list(row) + list(extra) for row, extra in zip(mat, rhs)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
+            return 0, None
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        rowk, pk = a[k], a[k][k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], rowk)]
+        prev = pk
+    # the left block is now prev * I and the right block prev * mat^{-1} rhs
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
-def _inverse_exact(mat: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == r)) for i in range(n)]
-         for r, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ExcolError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+def _det_exact(mat: Sequence[Sequence[int]]) -> int:
+    return _bareiss(mat, [()] * len(mat))[0]
 
 
-def _matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
+def _solve_unimodular(
+    mat: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """The integer matrix X with mat X = rhs, for mat of determinant +1 or -1."""
+    det, adj = _bareiss(mat, rhs)
+    if abs(det) != 1:
+        raise ExcolError(f"Gram matrix has determinant {det}, expected +1 or -1")
+    return [[det * x for x in row] for row in adj]
+
+
+def _transpose(mat: Sequence[Sequence[int]]) -> list[list[int]]:
+    return [list(col) for col in zip(*mat)]
 
 
 def serre_operator(gram: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -192,20 +191,9 @@ def serre_operator(gram: Sequence[Sequence[int]]) -> list[list[int]]:
     Defined by chi(x, S y) = chi(y, x); requires the Gram matrix to be
     unimodular so that S is an integer matrix.
     """
-    n = len(gram)
-    if any(len(row) != n for row in gram):
+    if any(len(row) != len(gram) for row in gram):
         raise ExcolError("Gram matrix must be square")
-    det = _det_exact(gram)
-    if abs(det) != 1:
-        raise ExcolError(f"Gram matrix has determinant {det}, expected +1 or -1")
-    ginv = _inverse_exact(gram)
-    gt = [[Fraction(gram[j][i]) for j in range(n)] for i in range(n)]
-    s = _matmul(ginv, gt)
-    out = []
-    for row in s:
-        assert all(x.denominator == 1 for x in row), "Serre operator must be integral"
-        out.append([int(x) for x in row])
-    return out
+    return _solve_unimodular(gram, _transpose(gram))
 
 
 def mutate_pair_k(
@@ -226,15 +214,8 @@ def mutate_pair_k(
     raise ExcolError(f"unknown mutation side {side!r}")
 
 
-def _vec_chi(gram: Sequence[Sequence[int]], x: Sequence[int], y: Sequence[int]) -> int:
-    n = len(gram)
-    total = 0
-    for i in range(n):
-        xi = x[i]
-        if xi:
-            row = gram[i]
-            total += xi * sum(row[j] * y[j] for j in range(n) if y[j])
-    return total
+def _dot(x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(x, y))
 
 
 def thread_check(
@@ -267,11 +248,8 @@ def thread_check(
                 return False, trace
     trace.append(f"unit upper-triangular: ok ({n} objects)")
 
-    det = _det_exact(gram)
-    if abs(det) != 1:
-        trace.append(f"FAIL: det G = {det}, expected +1 or -1")
-        return False, trace
-    trace.append("unimodular: ok (det G = %d)" % int(det))
+    # a unit upper-triangular matrix has determinant 1
+    trace.append("unimodular: ok (det G = 1)")
 
     if n < space_dim + 1:
         trace.append(
@@ -281,26 +259,22 @@ def thread_check(
         return False, trace
     trace.append(f"period bound: ok ({n} objects >= dim + 1 = {space_dim + 1})")
 
-    s = serre_operator(gram)
-    sinv = _inverse_exact(s)
+    # S^{-1} = (G^{-1} G^T)^{-1} = G^{-T} G
+    sinv = _solve_unimodular(_transpose(gram), gram)
     sign = -1 if (n - 1) % 2 else 1
 
-    window: list[list[int]] = [[int(i == j) for j in range(n)] for i in range(n)]
+    # window entries are (v, G v), so chi(x, v) = x . G v costs O(n)
+    window = [
+        ([int(i == j) for j in range(n)], col) for i, col in enumerate(_transpose(gram))
+    ]
     for pos in range(n):
-        head = window[0]
+        head = window[0][0]
         rest = window[1:]
         w = list(head)
-        for e in rest:
-            c = _vec_chi(gram, w, e)
+        for e, ge in rest:
+            c = _dot(w, ge)
             w = [c * ej - wj for ej, wj in zip(e, w)]
-        expected_frac = [
-            sign * sum(sinv[i][j] * Fraction(head[j]) for j in range(n))
-            for i in range(n)
-        ]
-        if any(f.denominator != 1 for f in expected_frac):
-            trace.append(f"FAIL: inverse Serre image of position {pos} is not integral")
-            return False, trace
-        expected = [int(f) for f in expected_frac]
+        expected = [sign * sum(r * h for r, h in zip(row, head)) for row in sinv]
         if w != expected:
             trace.append(
                 f"FAIL: thread open at position {pos}: sweep gives {w}, "
@@ -309,14 +283,15 @@ def thread_check(
             return False, trace
         # pairs among the carried-over classes were checked at earlier
         # positions, so only the new class needs triangularity checks
-        for e in rest:
-            if _vec_chi(gram, w, e) != 0:
+        for e, ge in rest:
+            if _dot(w, ge) != 0:
                 trace.append(f"FAIL: window lost triangularity after position {pos}")
                 return False, trace
-        if _vec_chi(gram, w, w) != 1:
+        gw = [_dot(row, w) for row in gram]
+        if _dot(w, gw) != 1:
             trace.append(f"FAIL: window lost unit diagonal after position {pos}")
             return False, trace
-        window = rest + [w]
+        window = rest + [(w, gw)]
         trace.append(f"position {pos}: sweep closes onto the inverse Serre image")
 
     trace.append("thread: complete")

@@ -140,11 +140,11 @@ class RootSystem:
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct A_n (GL lattice, dim n+1), B_n, C_n (n >= 1) or D_n (n >= 2)."""
     if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+        raise ParseError(f"unknown family {family!r}, expected one of {FAMILIES}")
     if rank < 1:
-        raise ValueError(f"rank must be positive, got {rank}")
+        raise ParseError(f"rank must be positive, got {rank}")
     if family == "D" and rank < 2:
-        raise ValueError("family D requires rank >= 2")
+        raise ParseError("family D requires rank >= 2")
 
     dim = rank + 1 if family == "A" else rank
     e = [_eps(i, dim) for i in range(1, dim + 1)]
@@ -381,11 +381,18 @@ def weyl_order(rs: RootSystem) -> int:
 def parabolic_cell_count(rs: RootSystem, levi_mask: Iterable[int]) -> int:
     """Number of Schubert cells of G/P: |W| / |W_Levi|.
 
-    The Levi Weyl group is enumerated exactly as the orbit of its rho, which
-    is regular for the subsystem.  The empty mask is the Borel case.
+    |W_Levi| comes from Macdonald's product over the Levi's positive roots,
+    prod (ht + 1) / ht, taken in the dual system: the height of the coroot
+    of alpha is <rho_Levi, alpha^vee>.  The empty mask is the Borel case.
     """
     sub = subsystem(rs, _validate_mask(rs, levi_mask))
-    order = len(weyl_orbit(sub, sub.rho)) if sub.positive_roots else 1
+    num = den = 1
+    for a in sub.positive_roots:
+        height = int(coroot_pairing(sub.rho, a))
+        num *= height + 1
+        den *= height
+    order, rest = divmod(num, den)
+    assert rest == 0, "Macdonald's product must be an integer"
     total = weyl_order(rs)
     assert total % order == 0, "Levi order must divide the Weyl order"
     return total // order

@@ -324,3 +324,47 @@ def test_disk_cache_ignores_corrupted_files(tmp_path):
     finally:
         attach_disk_cache(None)
         clear_character_cache()
+
+
+def _c2_orbit(*coords):
+    return weyl_orbit(subsystem(build_root_system("C", 2), None), weight(*coords))
+
+
+# Candidate cache contents for the 10-dimensional C2 irreducible of highest
+# weight (2, 0), each failing exactly one of the load checks.
+_IMPLAUSIBLE = {
+    "lattice": [(_c2_orbit(2, 0), 1), (_c2_orbit("2/3", "2/3"), 1), ([weight(0, 0)], 2)],
+    "highest-multiplicity": [(_c2_orbit(2, 0), 2), ([weight(0, 0)], 2)],
+    "total": [(_c2_orbit(2, 0), 1), (_c2_orbit(1, 1), 1), ([weight(0, 0)], 3)],
+    "invariance": [
+        (_c2_orbit(2, 0), 1),
+        (_c2_orbit(1, 1) - {weight(-1, -1)}, 1),
+        ([weight(0, 0)], 3),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_IMPLAUSIBLE))
+def test_disk_cache_rejects_implausible_characters(tmp_path, kind):
+    import json
+
+    rs = build_root_system("C", 2)
+    lam = weight(2, 0)
+    try:
+        attach_disk_cache(str(tmp_path))
+        clear_character_cache()
+        baseline = irrep_character(rs, None, lam).mults
+        (path,) = tmp_path.iterdir()
+        good = path.read_text()
+        items = [
+            {"w": [str(c) for c in w.coords], "m": m}
+            for ws, m in _IMPLAUSIBLE[kind]
+            for w in ws
+        ]
+        path.write_text(json.dumps(items))
+        clear_character_cache()
+        assert irrep_character(rs, None, lam).mults == baseline
+        assert path.read_text() == good, "the rejected file is rewritten"
+    finally:
+        attach_disk_cache(None)
+        clear_character_cache()

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from excol import build_igr26, dump_collection
+from excol import build_beilinson, build_igr26, dump_collection
 from excol.characters import attach_disk_cache, clear_character_cache
 from excol.cli import main
 
@@ -317,3 +317,59 @@ class TestDiskCache:
         rc, warm, _ = run(capsys, "gram", "--builder", "quadric:2")
         assert rc == 0
         assert warm == baseline
+
+    def test_overwritten_cache_files_are_recomputed(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        argv = ("hom", "--space", "C3:P2", "--from", "U*", "--to", "U(-4)")
+        monkeypatch.setenv("EXCOL_CACHE_DIR", str(tmp_path))
+        clear_character_cache()
+        assert run(capsys, *argv)[:2] == (0, "k in degree 7\n")
+        files = list(tmp_path.iterdir())
+        assert files
+        for f in files:
+            f.write_text('[{"w": ["0", "0", "0"], "m": 5}]')
+        clear_character_cache()
+        assert run(capsys, *argv)[:2] == (0, "k in degree 7\n")
+
+
+def _doc_with(**changes):
+    doc = dump_collection(build_beilinson(1))
+    doc.update(changes)
+    return doc
+
+
+class TestMalformedInput:
+    """Malformed input ends in exit 2 with one error line, never a traceback."""
+
+    @staticmethod
+    def _assert_parse_error(rc, out, err):
+        assert rc == 2
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize("space", ["A0:P1", "D1:P1"])
+    def test_space_outside_the_classical_families(self, capsys, space):
+        self._assert_parse_error(*run(capsys, "cells", "--space", space))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            _doc_with(objects=[5]),
+            _doc_with(objects=[{"terms": [{"coeff": 1}]}]),
+            _doc_with(space={"family": "E", "rank": 1, "crossed": [1]}),
+            _doc_with(objects=[{"weight": ["x", 0]}]),
+            _doc_with(labels=5),
+        ],
+        ids=[
+            "object-not-a-dict",
+            "term-without-weight",
+            "family-E",
+            "coordinate-x",
+            "labels-not-a-list",
+        ],
+    )
+    def test_malformed_collection_document(self, capsys, monkeypatch, doc):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        self._assert_parse_error(*run(capsys, "verify", "--stdin"))

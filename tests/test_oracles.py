@@ -1,0 +1,126 @@
+"""Closed forms against the searches they replaced.
+
+Each test runs a formula the library uses (Brauer-Klimyk tensor products,
+Macdonald's product for Levi Weyl groups, fraction-free integer linear
+algebra, the fixed spinor constant) against the slower search kept in
+helpers.py, on seeded inputs.
+"""
+
+import itertools
+
+import pytest
+
+from excol import (
+    build_root_system,
+    parabolic_cell_count,
+    parabolic_space,
+    serre_operator,
+    spinor_weight,
+    subsystem,
+    tensor_decompose,
+)
+from excol.cli import main
+from excol.homcalc import _det_exact
+
+from helpers import (
+    fraction_det,
+    fraction_inverse,
+    greedy_tensor_decompose,
+    orbit_cell_count,
+    random_dominant,
+    spinor_constant_search,
+)
+
+
+@pytest.mark.parametrize(
+    "family,rank,mask",
+    [
+        ("A", 3, None), ("A", 3, (1, 3)),
+        ("B", 3, None), ("B", 3, (2, 3)),
+        ("C", 3, None), ("C", 3, (1, 3)),
+        ("D", 4, None), ("D", 4, (1, 3, 4)),
+    ],
+)
+def test_brauer_klimyk_matches_greedy_extraction(family, rank, mask, rng):
+    rs = build_root_system(family, rank)
+    sub = subsystem(rs, mask)
+    for _ in range(4):
+        lam = random_dominant(rng, rs, sub, span=1, half=True)
+        mu = random_dominant(rng, rs, sub, span=1, half=True)
+        assert tensor_decompose(rs, mask, lam, mu) == greedy_tensor_decompose(
+            rs, mask, lam, mu
+        )
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", r) for r in range(1, 6)]
+    + [("B", r) for r in range(1, 6)]
+    + [("C", r) for r in range(1, 6)]
+    + [("D", r) for r in range(2, 6)],
+)
+def test_cell_count_matches_orbit_walk(family, rank):
+    rs = build_root_system(family, rank)
+    for size in range(rank + 1):
+        for mask in itertools.combinations(range(1, rank + 1), size):
+            assert parabolic_cell_count(rs, mask) == orbit_cell_count(rs, mask)
+
+
+def _chi(gram, x, y):
+    n = len(gram)
+    return sum(x[i] * gram[i][j] * y[j] for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("gram", [[[0, 1], [1, 0]], [[2, 1], [1, 1]]])
+def test_serre_operator_on_non_triangular_unimodular(gram, rng):
+    s = serre_operator(gram)
+    n = len(gram)
+    assert all(isinstance(x, int) for row in s for x in row)
+    for _ in range(20):
+        x = [rng.randint(-3, 3) for _ in range(n)]
+        y = [rng.randint(-3, 3) for _ in range(n)]
+        sy = [sum(s[i][j] * y[j] for j in range(n)) for i in range(n)]
+        assert _chi(gram, x, sy) == _chi(gram, y, x)
+
+
+def _random_unimodular(rng, n):
+    """Product of random elementary matrices and a row swap: det is +-1."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        f = rng.randint(-2, 2)
+        m[i] = [a + f * b for a, b in zip(m[i], m[j])]
+    if rng.random() < 0.5:
+        m[0], m[-1] = m[-1], m[0]
+    return m
+
+
+def test_integer_linear_algebra_matches_fractions(rng):
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        assert _det_exact(mat) == fraction_det(mat)
+        uni = _random_unimodular(rng, n)
+        assert abs(_det_exact(uni)) == 1
+        inv = fraction_inverse(uni)
+        expected = [
+            [sum(inv[i][k] * uni[j][k] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        assert serre_operator(uni) == expected
+
+
+@pytest.mark.parametrize("dim", range(3, 26))
+def test_spinor_constant_is_the_acyclic_one(dim):
+    if dim % 2:
+        space, signs = parabolic_space("B", (dim + 1) // 2, [1]), [0]
+    else:
+        space, signs = parabolic_space("D", (dim + 2) // 2, [1]), [1, -1]
+    constant = spinor_constant_search(space)
+    for sign in signs:
+        assert spinor_weight(space, sign).coords[0] == constant
+
+
+def test_cell_count_of_a_large_projective_space(capsys):
+    assert main(["cells", "--space", "A20:P1"]) == 0
+    assert capsys.readouterr().out == "21\n"
