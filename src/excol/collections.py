@@ -4,7 +4,9 @@ Each builder emits an ordered CollectionSpec; verify() runs every
 desk-checkable necessary condition: exceptionality of each object,
 vanishing of all backward graded Homs (or backward Euler pairings in
 chi_only mode), length against the Schubert cell count, unimodularity of
-the Gram matrix, and the helix thread criterion.  The report never claims
+the Gram matrix, and the helix thread criterion.  chi_only mode reads its
+triangle off the Gram matrix, and the thread verdict follows from the
+Gram's triangularity and the period bound.  The report never claims
 completeness, only that every necessary condition passed.
 """
 
@@ -30,7 +32,6 @@ from .homcalc import (
     KClass,
     _as_kclass,
     _det_exact,
-    euler_pairing,
     gram_matrix,
     thread_check,
 )
@@ -380,19 +381,6 @@ def _check_pair_exact(src: BundleObject, dst: BundleObject) -> tuple[bool, str, 
     return False, format_graded(dims), not forward
 
 
-def _check_diag_chi(x: KClass) -> tuple[bool, str]:
-    val = euler_pairing(x, x)
-    return val == 1, f"chi = {val}"
-
-
-def _check_pair_chi(src: KClass, dst: KClass) -> tuple[bool, str, bool]:
-    val = euler_pairing(src, dst)
-    if val == 0:
-        return True, "0", False
-    forward = euler_pairing(dst, src)
-    return False, f"chi = {val}", forward == 0
-
-
 def verify(
     collection: CollectionSpec, mode: str = "exact", jobs: int = 1
 ) -> VerificationReport:
@@ -400,10 +388,10 @@ def verify(
 
     exact mode computes graded Hom spaces for the diagonal and all backward
     pairs (bundle collections only); chi_only checks the same triangle at the
-    level of Euler pairings.  Both modes compare length with the Schubert
-    cell count and test Gram unimodularity; exact mode also runs the helix
-    thread criterion.  Checks run serially: jobs is accepted for
-    compatibility and ignored.
+    level of Euler pairings, reading it off the Gram matrix.  Both modes
+    compare length with the Schubert cell count and test Gram unimodularity;
+    exact mode also runs the helix thread criterion.  Checks run serially:
+    jobs is accepted for compatibility and ignored.
     """
     start = time.perf_counter()
     if mode not in ("exact", "chi_only"):
@@ -415,20 +403,26 @@ def verify(
             "use chi_only for K-class collections"
         )
     n = len(objs)
-    ks = [_as_kclass(o) for o in objs]
+    gram = gram_matrix([_as_kclass(o) for o in objs])
+    backward = [(j, i) for i in range(n) for j in range(i + 1, n)]
 
     if mode == "exact":
-        items, check_diag, check_pair = objs, _check_diag_exact, _check_pair_exact
+        exceptional = tuple(
+            PairResult(i, i, *_check_diag_exact(objs[i])) for i in range(n)
+        )
+        semiorthogonal = tuple(
+            PairResult(j, i, *_check_pair_exact(objs[j], objs[i])) for j, i in backward
+        )
     else:
-        items, check_diag, check_pair = ks, _check_diag_chi, _check_pair_chi
-    exceptional = tuple(PairResult(i, i, *check_diag(items[i])) for i in range(n))
-    semiorthogonal = tuple(
-        PairResult(j, i, *check_pair(items[j], items[i]))
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
-
-    gram = gram_matrix(ks)
+        exceptional = tuple(
+            PairResult(i, i, gram[i][i] == 1, f"chi = {gram[i][i]}") for i in range(n)
+        )
+        semiorthogonal = tuple(
+            PairResult(j, i, True, "0")
+            if gram[j][i] == 0
+            else PairResult(j, i, False, f"chi = {gram[j][i]}", gram[i][j] == 0)
+            for j, i in backward
+        )
     det = _det_exact(gram)
 
     thread_ok: bool | None = None
@@ -456,14 +450,20 @@ def _frac_json(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _frac_parse(v) -> Fraction:
-    if isinstance(v, bool):
-        raise ExcolError("weights must be numbers, not booleans")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
-    raise ExcolError(f"cannot parse weight coordinate {v!r}")
+def _int_field(value, name: str) -> int:
+    """A JSON integer; floats, strings and booleans are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _weight_parse(raw) -> Weight:
+    """A list of integer or "p/q" string coordinates."""
+    if not isinstance(raw, list) or any(
+        isinstance(c, bool) or not isinstance(c, (int, str)) for c in raw
+    ):
+        raise ParseError(f"cannot parse weight {raw!r}")
+    return Weight(tuple(Fraction(c) for c in raw))
 
 
 def _weight_json(w: Weight) -> list:
@@ -506,33 +506,37 @@ def _load_object(space: ParabolicSpace, item: dict) -> "BundleObject | KClass":
     if "terms" in item:
         terms: dict[Weight, int] = {}
         for t in item["terms"]:
-            w = Weight(tuple(_frac_parse(c) for c in t["weight"]))
+            w = _weight_parse(t["weight"])
             validate_weight(space.rs, w)
-            terms[w] = terms.get(w, 0) + int(t["coeff"])
+            terms[w] = terms.get(w, 0) + _int_field(t["coeff"], "coeff")
         return KClass.from_dict(space, terms)
-    w = Weight(tuple(_frac_parse(c) for c in item["weight"]))
-    mult = int(item.get("mult", 1))
-    if mult != 1:
+    w = _weight_parse(item["weight"])
+    if _int_field(item.get("mult", 1), "mult") != 1:
         raise ExcolError("bundle objects must have mult = 1")
-    return BundleObject(space, w, int(item.get("shift", 0)))
+    return BundleObject(space, w, _int_field(item.get("shift", 0), "shift"))
 
 
 def load_collection(doc: dict) -> CollectionSpec:
-    """Parse the JSON document format back into a CollectionSpec."""
+    """Parse the JSON document format back into a CollectionSpec.
+
+    A document of the wrong shape, or with a field of the wrong type, raises
+    ParseError.
+    """
+    if not isinstance(doc, dict):
+        raise ParseError("a collection document must be a JSON object")
     try:
         sp = doc["space"]
-        space = parabolic_space(sp["family"], int(sp["rank"]), sp["crossed"])
+        crossed = [_int_field(k, "a crossed node") for k in sp["crossed"]]
+        space = parabolic_space(sp["family"], _int_field(sp["rank"], "rank"), crossed)
         raw_objects = doc["objects"]
-    except ExcolError:
-        raise
     except (KeyError, TypeError) as exc:
-        raise ExcolError(f"malformed collection document: {exc}") from exc
-    except ValueError as exc:
         raise ParseError(f"malformed collection document: {exc}") from exc
     if not isinstance(raw_objects, list) or not raw_objects:
-        raise ExcolError("collection document needs a nonempty object list")
+        raise ParseError("collection document needs a nonempty object list")
 
     mode = doc.get("mode")
+    if mode not in (None, "bundles", "kclasses"):
+        raise ParseError(f"unknown collection mode {mode!r}")
     objects: list = []
     for k, item in enumerate(raw_objects):
         try:
@@ -555,7 +559,7 @@ def load_collection(doc: dict) -> CollectionSpec:
     if not isinstance(labels, (list, tuple)):
         raise ParseError("labels must be a list")
     if len(labels) != len(objects):
-        raise ExcolError("labels and objects must have equal length")
+        raise ParseError("labels and objects must have equal length")
     if mode == "kclasses":
         objects = [_as_kclass(o) for o in objects]
     return CollectionSpec(

@@ -9,6 +9,7 @@ parity class; type C is integral.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -223,52 +224,25 @@ def _validate_mask(rs: RootSystem, mask: Iterable[int]) -> frozenset[int]:
     return m
 
 
-def _solve_coefficients(
-    basis: Sequence[Weight], target: Weight
-) -> tuple[Fraction, ...] | None:
-    """Coefficients of target over basis (linearly independent), or None."""
-    if not basis:
-        return () if target.is_zero() else None
-    dim = target.dim
-    ncols = len(basis)
-    # columns = basis vectors, augmented with target
-    rows = [
-        [basis[j].coords[i] for j in range(ncols)] + [target.coords[i]]
-        for i in range(dim)
-    ]
-    pivot_row = 0
-    pivots: list[int] = []
-    for col in range(ncols):
-        sel = next(
-            (r for r in range(pivot_row, dim) if rows[r][col] != 0), None
-        )
-        if sel is None:
-            pivots.append(-1)
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        pv = rows[pivot_row][col]
-        rows[pivot_row] = [x / pv for x in rows[pivot_row]]
-        for r in range(dim):
-            if r != pivot_row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pivot_row])]
-        pivots.append(pivot_row)
-        pivot_row += 1
-    # inconsistent rows mean target is outside the span
-    for r in range(pivot_row, dim):
-        if rows[r][ncols] != 0:
-            return None
-    coeffs = [Fraction(0)] * ncols
-    for col, pr in enumerate(pivots):
-        if pr >= 0:
-            coeffs[col] = rows[pr][ncols]
-    # verify (basis assumed independent; guards against a missed pivot)
-    acc = _zero(dim)
-    for c, b in zip(coeffs, basis):
-        acc = acc + b.scale(c)
-    if acc != target:
-        return None
-    return tuple(coeffs)
+def _simple_coefficients(rs: RootSystem, v: Weight) -> list[Fraction] | None:
+    """Coefficients of v over all simple roots of rs, or None outside their span.
+
+    Every simple root except the last one or two is e_k - e_{k+1}, so with
+    partial sums s_k = v_1 + ... + v_k the coefficient of the k-th simple
+    root is s_k, corrected at the end of the diagram: A_n needs
+    s_{n+1} = 0, C_n halves c_n, and D_n has c_n = s_n / 2 and
+    c_{n-1} = s_n / 2 - v_n.
+    """
+    sums = list(itertools.accumulate(v.coords))
+    n = rs.rank
+    if rs.family == "A":
+        return sums[:n] if sums[n] == 0 else None
+    if rs.family == "C":
+        sums[n - 1] /= 2
+    elif rs.family == "D":
+        sums[n - 1] /= 2
+        sums[n - 2] = sums[n - 1] - v.coords[n - 1]
+    return sums
 
 
 @dataclass(frozen=True)
@@ -283,19 +257,23 @@ class Subsystem:
 
     def coefficients(self, v: Weight) -> tuple[Fraction, ...] | None:
         """Expansion of v over this subsystem's simple roots, if in the span."""
-        return _solve_coefficients(self.simple_roots, v)
+        coeffs = _simple_coefficients(self.rs, v)
+        if coeffs is None or not _supported_in(coeffs, self.mask):
+            return None
+        return tuple(coeffs[k - 1] for k in sorted(self.mask))
+
+
+def _supported_in(coeffs: Sequence[Fraction], mask: frozenset[int]) -> bool:
+    return all(k in mask for k, c in enumerate(coeffs, 1) if c)
 
 
 @lru_cache(maxsize=None)
 def _subsystem_cached(rs: RootSystem, mask: frozenset[int]) -> Subsystem:
     simples = tuple(rs.simple_roots[i - 1] for i in sorted(mask))
-    positives = []
-    for a in rs.positive_roots:
-        coeffs = _solve_coefficients(rs.simple_roots, a)
-        assert coeffs is not None, "positive root outside simple-root span"
-        support = {i + 1 for i, c in enumerate(coeffs) if c != 0}
-        if support <= mask:
-            positives.append(a)
+    positives = [
+        a for a in rs.positive_roots
+        if _supported_in(_simple_coefficients(rs, a), mask)
+    ]
     rho = _zero(rs.dim)
     for a in positives:
         rho = rho + a

@@ -1,9 +1,11 @@
 import random
+import zlib
 
 import pytest
 
 
 @pytest.fixture
 def rng(request):
-    # seed from the test name so failures replay without extra flags
-    return random.Random(hash(request.node.name) & 0xFFFFFFFF)
+    # seed from the test name so failures replay without extra flags; str
+    # hashes are salted per process, so use a stable checksum instead
+    return random.Random(zlib.crc32(request.node.name.encode()))

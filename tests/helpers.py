@@ -2,7 +2,8 @@
 
 Weights are drawn by rejection sampling so that every property test runs
 on honestly random Levi-dominant inputs instead of a handpicked list.  The
-oracles at the end are the searches the library replaced with closed forms.
+oracles at the end are the searches and eliminations the library replaced
+with closed forms.
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ from excol import (
     weyl_orbit,
     weyl_order,
 )
+from excol.homcalc import _solve_unimodular
 
 
 def random_weight(rng, rs, span=4, half=False):
@@ -163,3 +165,121 @@ def fraction_inverse(mat):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[n:] for row in a]
+
+
+def solve_coefficients(basis, target):
+    """Coefficients of target over basis (linearly independent), or None,
+    by Gauss-Jordan elimination over the rationals."""
+    if not basis:
+        return () if target.is_zero() else None
+    dim = target.dim
+    ncols = len(basis)
+    # columns = basis vectors, augmented with target
+    rows = [
+        [basis[j].coords[i] for j in range(ncols)] + [target.coords[i]]
+        for i in range(dim)
+    ]
+    pivot_row = 0
+    pivots = []
+    for col in range(ncols):
+        sel = next(
+            (r for r in range(pivot_row, dim) if rows[r][col] != 0), None
+        )
+        if sel is None:
+            pivots.append(-1)
+            continue
+        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
+        pv = rows[pivot_row][col]
+        rows[pivot_row] = [x / pv for x in rows[pivot_row]]
+        for r in range(dim):
+            if r != pivot_row and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pivot_row])]
+        pivots.append(pivot_row)
+        pivot_row += 1
+    # inconsistent rows mean target is outside the span
+    for r in range(pivot_row, dim):
+        if rows[r][ncols] != 0:
+            return None
+    coeffs = [Fraction(0)] * ncols
+    for col, pr in enumerate(pivots):
+        if pr >= 0:
+            coeffs[col] = rows[pr][ncols]
+    acc = Weight(tuple(Fraction(0) for _ in range(dim)))
+    for c, b in zip(coeffs, basis):
+        acc = acc + b.scale(c)
+    if acc != target:
+        return None
+    return tuple(coeffs)
+
+
+def _dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
+
+
+def thread_sweep(gram, space_dim):
+    """Helix thread test that runs the sweep: each class is right-mutated
+    through the rest of its window and must close onto its inverse-Serre
+    image, with the window staying unit upper-triangular at every step."""
+    trace = []
+    n = len(gram)
+    if any(len(row) != n for row in gram):
+        trace.append("FAIL: Gram matrix is not square")
+        return False, trace
+
+    for i in range(n):
+        if gram[i][i] != 1:
+            trace.append(f"FAIL: chi(E_{i}, E_{i}) = {gram[i][i]}, expected 1")
+            return False, trace
+    for i in range(n):
+        for j in range(i):
+            if gram[i][j] != 0:
+                trace.append(
+                    f"FAIL: backward pairing chi(E_{i}, E_{j}) = {gram[i][j]}, expected 0"
+                )
+                return False, trace
+    trace.append(f"unit upper-triangular: ok ({n} objects)")
+    trace.append("unimodular: ok (det G = 1)")
+
+    if n < space_dim + 1:
+        trace.append(
+            f"FAIL: only {n} objects on a {space_dim}-fold; "
+            f"the K-group has rank at least {space_dim + 1}"
+        )
+        return False, trace
+    trace.append(f"period bound: ok ({n} objects >= dim + 1 = {space_dim + 1})")
+
+    # S^{-1} = (G^{-1} G^T)^{-1} = G^{-T} G
+    transpose = [list(col) for col in zip(*gram)]
+    sinv = _solve_unimodular(transpose, gram)
+    sign = -1 if (n - 1) % 2 else 1
+
+    # window entries are (v, G v), so chi(x, v) = x . G v costs O(n)
+    window = [([int(i == j) for j in range(n)], col) for i, col in enumerate(transpose)]
+    for pos in range(n):
+        head = window[0][0]
+        rest = window[1:]
+        w = list(head)
+        for e, ge in rest:
+            c = _dot(w, ge)
+            w = [c * ej - wj for ej, wj in zip(e, w)]
+        expected = [sign * sum(r * h for r, h in zip(row, head)) for row in sinv]
+        if w != expected:
+            trace.append(
+                f"FAIL: thread open at position {pos}: sweep gives {w}, "
+                f"inverse Serre gives {expected}"
+            )
+            return False, trace
+        for e, ge in rest:
+            if _dot(w, ge) != 0:
+                trace.append(f"FAIL: window lost triangularity after position {pos}")
+                return False, trace
+        gw = [_dot(row, w) for row in gram]
+        if _dot(w, gw) != 1:
+            trace.append(f"FAIL: window lost unit diagonal after position {pos}")
+            return False, trace
+        window = rest + [(w, gw)]
+        trace.append(f"position {pos}: sweep closes onto the inverse Serre image")
+
+    trace.append("thread: complete")
+    return True, trace

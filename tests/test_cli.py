@@ -361,6 +361,15 @@ class TestMalformedInput:
             _doc_with(space={"family": "E", "rank": 1, "crossed": [1]}),
             _doc_with(objects=[{"weight": ["x", 0]}]),
             _doc_with(labels=5),
+            _doc_with(objects=[{"weight": [0, 0], "shift": 1.5}]),
+            _doc_with(objects=[{"weight": [0, 0], "shift": "0"}]),
+            _doc_with(mode=None, objects=[{"terms": [{"weight": [0, 0], "coeff": 1.5}]}]),
+            _doc_with(objects=[{"weight": [0, 0], "mult": True}]),
+            _doc_with(space={"family": "A", "rank": 1.9, "crossed": [1]}),
+            {k: v for k, v in _doc_with().items() if k != "space"},
+            _doc_with(space={"family": "A", "rank": 1, "crossed": 5}),
+            [_doc_with()],
+            _doc_with(objects=[{"weight": [True, 0]}]),
         ],
         ids=[
             "object-not-a-dict",
@@ -368,6 +377,15 @@ class TestMalformedInput:
             "family-E",
             "coordinate-x",
             "labels-not-a-list",
+            "shift-float",
+            "shift-string",
+            "coeff-float",
+            "mult-bool",
+            "rank-float",
+            "space-missing",
+            "crossed-int",
+            "top-level-list",
+            "coordinate-bool",
         ],
     )
     def test_malformed_collection_document(self, capsys, monkeypatch, doc):

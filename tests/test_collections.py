@@ -242,6 +242,62 @@ class TestVerify:
         assert report.passed, report.render_text()
 
 
+def _reordered(base, order, provenance):
+    return CollectionSpec(
+        base.space,
+        tuple(base.objects[k] for k in order),
+        base.mode,
+        tuple(base.labels[k] for k in order),
+        provenance,
+    )
+
+
+def _failures(results):
+    return [(r.row, r.col, r.evidence, r.ordering_fixable) for r in results if not r.ok]
+
+
+class TestChiOnlyFailures:
+    """Evidence and fixability of the chi_only triangle on broken controls."""
+
+    def test_swapped_pair(self):
+        order = [0, 1, 3, 2] + list(range(4, 12))
+        report = verify(_reordered(build_igr26(), order, "swapped"), mode="chi_only")
+        assert _failures(report.exceptional) == []
+        assert _failures(report.semiorthogonal) == [(3, 2, "chi = 6", True)]
+
+    def test_reversed_beilinson(self):
+        report = verify(
+            _reordered(build_beilinson(2), [2, 1, 0], "reversed"), mode="chi_only"
+        )
+        assert _failures(report.semiorthogonal) == [
+            (1, 0, "chi = 3", True),
+            (2, 0, "chi = 6", True),
+            (2, 1, "chi = 3", True),
+        ]
+        assert (
+            "FAIL pair (O(2), O(1)): backward Hom(O(1), O(2)) = chi = 3 "
+            "[ordering-fixable]" in report.render_text()
+        )
+
+    def test_duplicate_object(self):
+        o = BundleObject(IGR, weight(0, 0, 0))
+        dup = CollectionSpec(IGR, (o, o), "bundles", ("O", "O"), "dup")
+        report = verify(dup, mode="chi_only")
+        assert _failures(report.semiorthogonal) == [(1, 0, "chi = 1", False)]
+
+    def test_scaled_class_is_not_exceptional(self):
+        base = build_orthogonal_flag(2)
+        objects = (base.objects[0].scale(2),) + base.objects[1:]
+        scaled = CollectionSpec(
+            base.space, objects, base.mode, base.labels, "scaled"
+        )
+        report = verify(scaled, mode="chi_only")
+        assert _failures(report.exceptional) == [(0, 0, "chi = 4", False)]
+        assert _failures(report.semiorthogonal) == []
+        assert report.det == 4
+        assert "det=4" in report.summary_line()
+
+
 class TestComposeFibration:
     @pytest.mark.parametrize("n", [2, 3])
     def test_tower_equals_direct_builder(self, n):

@@ -2,15 +2,18 @@
 
 Each test runs a formula the library uses (Brauer-Klimyk tensor products,
 Macdonald's product for Levi Weyl groups, fraction-free integer linear
-algebra, the fixed spinor constant) against the slower search kept in
-helpers.py, on seeded inputs.
+algebra, the fixed spinor constant, the thread verdict read off its
+preconditions, simple-root coefficients as partial sums) against the slower
+search kept in helpers.py, on seeded inputs.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from excol import (
+    Weight,
     build_root_system,
     parabolic_cell_count,
     parabolic_space,
@@ -18,6 +21,7 @@ from excol import (
     spinor_weight,
     subsystem,
     tensor_decompose,
+    thread_check,
 )
 from excol.cli import main
 from excol.homcalc import _det_exact
@@ -28,7 +32,9 @@ from helpers import (
     greedy_tensor_decompose,
     orbit_cell_count,
     random_dominant,
+    solve_coefficients,
     spinor_constant_search,
+    thread_sweep,
 )
 
 
@@ -124,3 +130,95 @@ def test_spinor_constant_is_the_acyclic_one(dim):
 def test_cell_count_of_a_large_projective_space(capsys):
     assert main(["cells", "--space", "A20:P1"]) == 0
     assert capsys.readouterr().out == "21\n"
+
+
+def _random_unit_upper(rng, n):
+    return [
+        [int(i == j) if j <= i else rng.randint(-6, 6) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def test_thread_verdict_matches_sweep_on_unit_triangular(rng):
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        gram = _random_unit_upper(rng, n)
+        dim = rng.randint(0, n - 1)
+        ok, trace = thread_check(gram, dim)
+        assert ok
+        assert (ok, trace) == thread_sweep(gram, dim)
+
+
+def _break_square(rng, gram):
+    gram[rng.randrange(len(gram))].pop()
+
+
+def _break_diagonal(rng, gram):
+    k = rng.randrange(len(gram))
+    gram[k][k] = rng.choice([-2, -1, 0, 2, 3])
+
+
+def _break_triangle(rng, gram):
+    i = rng.randrange(1, len(gram))
+    gram[i][rng.randrange(i)] = rng.choice([-3, -1, 1, 2])
+
+
+@pytest.mark.parametrize("breaker", [_break_square, _break_diagonal, _break_triangle])
+def test_thread_verdict_matches_sweep_on_broken_preconditions(breaker, rng):
+    for _ in range(40):
+        n = rng.randint(2, 10)
+        gram = _random_unit_upper(rng, n)
+        breaker(rng, gram)
+        dim = rng.randint(0, n - 1)
+        ok, trace = thread_check(gram, dim)
+        assert not ok
+        assert (ok, trace) == thread_sweep(gram, dim)
+
+
+def test_thread_verdict_matches_sweep_below_the_period_bound(rng):
+    for _ in range(40):
+        n = rng.randint(1, 10)
+        gram = _random_unit_upper(rng, n)
+        dim = rng.randint(n, n + 3)
+        ok, trace = thread_check(gram, dim)
+        assert not ok
+        assert (ok, trace) == thread_sweep(gram, dim)
+
+
+def _random_half_vector(rng, dim):
+    return Weight(tuple(Fraction(rng.randint(-8, 8), 2) for _ in range(dim)))
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", r) for r in range(1, 6)]
+    + [("B", r) for r in range(1, 6)]
+    + [("C", r) for r in range(1, 6)]
+    + [("D", r) for r in range(2, 6)],
+)
+def test_partial_sum_coefficients_match_gauss_solve(family, rank, rng):
+    rs = build_root_system(family, rank)
+    supports = {
+        a: {k for k, c in enumerate(solve_coefficients(rs.simple_roots, a), 1) if c}
+        for a in rs.positive_roots
+    }
+    for size in range(rank + 1):
+        for mask in itertools.combinations(range(1, rank + 1), size):
+            sub = subsystem(rs, mask)
+            assert sub.positive_roots == tuple(
+                a for a in rs.positive_roots if supports[a] <= set(mask)
+            )
+            in_span = []
+            for _ in range(4):
+                v = Weight(tuple(Fraction(0) for _ in range(rs.dim)))
+                for b in sub.simple_roots:
+                    v = v + b.scale(Fraction(rng.randint(-6, 6), 2))
+                in_span.append(v)
+            vectors = (
+                list(rs.positive_roots)
+                + in_span
+                + [_random_half_vector(rng, rs.dim) for _ in range(4)]
+            )
+            for v in vectors:
+                assert sub.coefficients(v) == solve_coefficients(sub.simple_roots, v)
+            assert all(sub.coefficients(v) is not None for v in in_span)
