@@ -4,12 +4,17 @@ Characters are finite multiplicity maps weight -> positive integer.  The
 irreducible character is computed by Freudenthal's recursion over the
 subsystem, dimensions by the Weyl product formula, tensor products by the
 Brauer-Klimyk (Racah-Speiser) formula.
+
+Irreducible characters are memoised in memory, per process, and only after
+their total has matched the Weyl dimension; results never depend on the
+memo, and clear_character_cache() empties it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .roots import (
@@ -20,7 +25,6 @@ from .roots import (
     is_dominant,
     make_dominant_dot,
     plain_dominantize,
-    reflect,
     subsystem,
     validate_weight,
     weyl_orbit,
@@ -32,9 +36,7 @@ __all__ = [
     "irrep_character",
     "tensor_decompose",
     "dual_weight",
-    "set_character_cache",
     "clear_character_cache",
-    "attach_disk_cache",
 ]
 
 
@@ -48,87 +50,6 @@ class Character:
 
     def total_dim(self) -> int:
         return sum(self.mults.values())
-
-
-# In-memory memo of irreducible characters.  Results never depend on it.
-_cache: dict[tuple, dict[Weight, int]] = {}
-_cache_enabled = True
-_disk_cache_dir: str | None = None
-
-
-def set_character_cache(enabled: bool) -> None:
-    global _cache_enabled
-    _cache_enabled = enabled
-
-
-def clear_character_cache() -> None:
-    _cache.clear()
-
-
-def attach_disk_cache(directory: str | None) -> None:
-    """Persist irreducible characters under directory (content-addressed)."""
-    global _disk_cache_dir
-    _disk_cache_dir = directory
-
-
-# Bumped whenever the file format or the meaning of an entry changes.
-_DISK_FORMAT = 2
-
-
-def _disk_path(sub: Subsystem, lam: Weight) -> str:
-    import hashlib
-    import os
-
-    coords = [str(c) for c in lam.coords]
-    raw = f"v{_DISK_FORMAT}|{sub.rs.family}|{sub.rs.rank}|{sorted(sub.mask)}|{coords}"
-    key = hashlib.sha256(raw.encode()).hexdigest()
-    return os.path.join(_disk_cache_dir, key + ".json")
-
-
-def _disk_load(sub: Subsystem, lam: Weight) -> dict[Weight, int] | None:
-    """Read a cached character; anything that fails a check is a miss."""
-    import json
-
-    if _disk_cache_dir is None:
-        return None
-    try:
-        with open(_disk_path(sub, lam)) as fh:
-            data = json.load(fh)
-        out: dict[Weight, int] = {}
-        for item in data:
-            w = Weight(tuple(Fraction(str(c)) for c in item["w"]))
-            validate_weight(sub.rs, w)
-            m = item["m"]
-            if type(m) is not int or m <= 0 or w in out:
-                return None
-            out[w] = m
-    except (OSError, ValueError, TypeError, KeyError, ZeroDivisionError):
-        return None
-    if out.get(lam) != 1 or sum(out.values()) != weyl_dim(sub.rs, sub.mask, lam):
-        return None
-    for w, m in out.items():
-        if any(out.get(reflect(w, a)) != m for a in sub.simple_roots):
-            return None
-    return out
-
-
-def _disk_store(sub: Subsystem, lam: Weight, mults: dict[Weight, int]) -> None:
-    import json
-    import os
-
-    if _disk_cache_dir is None:
-        return
-    os.makedirs(_disk_cache_dir, exist_ok=True)
-    # an existing file here failed _disk_load's checks, so it is replaced
-    path = _disk_path(sub, lam)
-    items = [
-        {"w": [str(c) for c in w.coords], "m": m}
-        for w, m in sorted(mults.items(), key=lambda kv: kv[0].coords)
-    ]
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(items, fh)
-    os.replace(tmp, path)
 
 
 def weyl_dim(rs: RootSystem, mask: Iterable[int] | None, lam: Weight) -> int:
@@ -211,26 +132,22 @@ def irrep_character(
     sub = subsystem(rs, mask)
     if not is_dominant(sub, lam):
         raise DominanceError(f"{lam} is not dominant for mask {sorted(sub.mask)}")
+    return Character(rs, sub.mask, dict(_character_cached(sub, lam)))
 
-    key = (rs.family, rs.rank, sub.mask, lam)
-    if _cache_enabled:
-        hit = _cache.get(key)
-        if hit is None:
-            hit = _disk_load(sub, lam)
-            if hit is not None:
-                _cache[key] = hit
-        if hit is not None:
-            return Character(rs, sub.mask, dict(hit))
 
+@lru_cache(maxsize=None)
+def _character_cached(sub: Subsystem, lam: Weight) -> dict[Weight, int]:
     mults = _freudenthal(sub, lam)
-    dim_check = weyl_dim(rs, mask, lam)
+    dim_check = weyl_dim(sub.rs, sub.mask, lam)
     assert sum(mults.values()) == dim_check, (
         f"character of {lam} sums to {sum(mults.values())}, Weyl dim is {dim_check}"
     )
-    if _cache_enabled:
-        _cache[key] = mults
-        _disk_store(sub, lam, mults)
-    return Character(rs, sub.mask, dict(mults))
+    return mults
+
+
+def clear_character_cache() -> None:
+    """Empty the in-memory memo of irreducible characters."""
+    _character_cached.cache_clear()
 
 
 def tensor_decompose(

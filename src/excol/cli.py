@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from .roots import ExcolError, ParseError, Weight
-from .characters import attach_disk_cache
 from .bwb import (
     BundleObject,
     ParabolicSpace,
@@ -362,9 +360,6 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    cache_dir = os.environ.get("EXCOL_CACHE_DIR")
-    if cache_dir:
-        attach_disk_cache(cache_dir)
     parser = _make_parser()
     args = parser.parse_args(argv)
     try:

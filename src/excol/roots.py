@@ -17,8 +17,15 @@ from typing import Iterable, Sequence
 
 FAMILIES = ("A", "B", "C", "D")
 
+# Largest rank build_root_system accepts.  At rank 20, cells, canonical and
+# bwb or hom on a line bundle finish in under a second on every family; at
+# rank 40 hom takes seconds, and larger ranks would run for minutes or hours,
+# so they are refused up front.
+MAX_RANK = 20
+
 __all__ = [
     "FAMILIES",
+    "MAX_RANK",
     "ExcolError",
     "LatticeError",
     "DominanceError",
@@ -122,9 +129,14 @@ def _eps(i: int, dim: int) -> Weight:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSystem:
-    """A classical root system with its simple and positive roots and rho."""
+    """A classical root system with its simple and positive roots and rho.
+
+    Only build_root_system constructs one, through a memo keyed on
+    (family, rank), so equal systems are the same object: equality and
+    hashing are by identity.
+    """
 
     family: str
     rank: int
@@ -137,16 +149,24 @@ class RootSystem:
         return f"{self.family}{self.rank}"
 
 
-@lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RootSystem:
-    """Construct A_n (GL lattice, dim n+1), B_n, C_n (n >= 1) or D_n (n >= 2)."""
+    """Construct A_n (GL lattice, dim n+1), B_n, C_n (n >= 1) or D_n (n >= 2).
+
+    Ranks above MAX_RANK are refused with ExcolError.
+    """
     if family not in FAMILIES:
         raise ParseError(f"unknown family {family!r}, expected one of {FAMILIES}")
     if rank < 1:
         raise ParseError(f"rank must be positive, got {rank}")
     if family == "D" and rank < 2:
         raise ParseError("family D requires rank >= 2")
+    if rank > MAX_RANK:
+        raise ExcolError(f"rank {rank} exceeds the supported maximum {MAX_RANK}")
+    return _root_system_cached(family, rank)
 
+
+@lru_cache(maxsize=None)
+def _root_system_cached(family: str, rank: int) -> RootSystem:
     dim = rank + 1 if family == "A" else rank
     e = [_eps(i, dim) for i in range(1, dim + 1)]
 
@@ -245,9 +265,13 @@ def _simple_coefficients(rs: RootSystem, v: Weight) -> list[Fraction] | None:
     return sums
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subsystem:
-    """The root subsystem spanned by a subset of simple roots (a Levi)."""
+    """The root subsystem spanned by a subset of simple roots (a Levi).
+
+    Only _subsystem_cached constructs one, and it memoises on the interned
+    root system and the mask, so equality and hashing are by identity.
+    """
 
     rs: RootSystem
     mask: frozenset[int]

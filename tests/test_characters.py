@@ -13,20 +13,20 @@ import pytest
 from excol import (
     DominanceError,
     Weight,
+    build_igr26,
     build_root_system,
     clear_character_cache,
     dual_weight,
     irrep_character,
     is_dominant,
     parabolic_space,
-    set_character_cache,
     subsystem,
     tensor_decompose,
+    verify,
     weight,
     weyl_dim,
     weyl_orbit,
 )
-from excol.characters import attach_disk_cache
 
 from helpers import random_dominant
 
@@ -281,90 +281,29 @@ def test_weyl_dim_rejects_non_dominant():
         irrep_character(rs, None, weight(-1, 0, 0))
 
 
-def test_memory_cache_toggle():
-    rs = build_root_system("C", 2)
-    lam = weight(2, 1)
-    baseline = irrep_character(rs, None, lam).mults
-    try:
-        set_character_cache(False)
-        clear_character_cache()
-        assert irrep_character(rs, None, lam).mults == baseline
-    finally:
-        set_character_cache(True)
+def test_characters_are_the_same_warm_and_after_a_clear(rng):
+    cases = []
+    for family, rank, mask in FREUDENTHAL_SITES:
+        rs = build_root_system(family, rank)
+        sub = subsystem(rs, mask)
+        for _ in range(4):
+            cases.append((rs, mask, random_dominant(rng, rs, sub, span=3, half=True)))
+
+    def characters():
+        return [irrep_character(rs, mask, lam).mults for rs, mask, lam in cases]
+
+    characters()
+    warm = characters()
+    clear_character_cache()
+    assert characters() == warm
 
 
-def test_disk_cache_round_trip(tmp_path):
-    rs = build_root_system("C", 2)
-    lam = weight(2, 2)
-    try:
-        attach_disk_cache(str(tmp_path))
-        clear_character_cache()
-        first = irrep_character(rs, None, lam).mults
-        files = list(tmp_path.iterdir())
-        assert files, "computing a character should persist it"
-        clear_character_cache()
-        second = irrep_character(rs, None, lam).mults
-        assert second == first
-    finally:
-        attach_disk_cache(None)
-        clear_character_cache()
+def test_verify_report_is_the_same_warm_and_after_a_clear():
+    def report():
+        out = verify(build_igr26()).to_json_dict()
+        out.pop("wall_time")
+        return out
 
-
-def test_disk_cache_ignores_corrupted_files(tmp_path):
-    rs = build_root_system("C", 2)
-    lam = weight(3, 1)
-    try:
-        attach_disk_cache(str(tmp_path))
-        clear_character_cache()
-        baseline = irrep_character(rs, None, lam).mults
-        for f in tmp_path.iterdir():
-            f.write_text("not json at all")
-        clear_character_cache()
-        assert irrep_character(rs, None, lam).mults == baseline
-    finally:
-        attach_disk_cache(None)
-        clear_character_cache()
-
-
-def _c2_orbit(*coords):
-    return weyl_orbit(subsystem(build_root_system("C", 2), None), weight(*coords))
-
-
-# Candidate cache contents for the 10-dimensional C2 irreducible of highest
-# weight (2, 0), each failing exactly one of the load checks.
-_IMPLAUSIBLE = {
-    "lattice": [(_c2_orbit(2, 0), 1), (_c2_orbit("2/3", "2/3"), 1), ([weight(0, 0)], 2)],
-    "highest-multiplicity": [(_c2_orbit(2, 0), 2), ([weight(0, 0)], 2)],
-    "total": [(_c2_orbit(2, 0), 1), (_c2_orbit(1, 1), 1), ([weight(0, 0)], 3)],
-    "invariance": [
-        (_c2_orbit(2, 0), 1),
-        (_c2_orbit(1, 1) - {weight(-1, -1)}, 1),
-        ([weight(0, 0)], 3),
-    ],
-}
-
-
-@pytest.mark.parametrize("kind", sorted(_IMPLAUSIBLE))
-def test_disk_cache_rejects_implausible_characters(tmp_path, kind):
-    import json
-
-    rs = build_root_system("C", 2)
-    lam = weight(2, 0)
-    try:
-        attach_disk_cache(str(tmp_path))
-        clear_character_cache()
-        baseline = irrep_character(rs, None, lam).mults
-        (path,) = tmp_path.iterdir()
-        good = path.read_text()
-        items = [
-            {"w": [str(c) for c in w.coords], "m": m}
-            for ws, m in _IMPLAUSIBLE[kind]
-            for w in ws
-        ]
-        path.write_text(json.dumps(items))
-        clear_character_cache()
-        assert irrep_character(rs, None, lam).mults == baseline
-        assert path.read_text() == good, "the rejected file is rewritten"
-    finally:
-        attach_disk_cache(None)
-        clear_character_cache()
+    warm = report()
+    clear_character_cache()
+    assert report() == warm

@@ -10,14 +10,8 @@ import json
 import pytest
 
 from excol import build_beilinson, build_igr26, dump_collection
-from excol.characters import attach_disk_cache, clear_character_cache
+from excol.characters import clear_character_cache
 from excol.cli import main
-
-
-@pytest.fixture(autouse=True)
-def _clean_cache_attachment():
-    yield
-    attach_disk_cache(None)
 
 
 def run(capsys, *argv):
@@ -297,40 +291,33 @@ class TestExitCodes:
         assert rc == 3
 
 
-class TestDiskCache:
-    def test_cache_directory_is_used_and_output_identical(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        cache_dir = tmp_path / "cache"
-        clear_character_cache()
-        rc, baseline, _ = run(capsys, "gram", "--builder", "quadric:2")
-        assert rc == 0
+class TestRankLimit:
+    """Ranks above MAX_RANK are refused up front with exit 3."""
 
-        monkeypatch.setenv("EXCOL_CACHE_DIR", str(cache_dir))
-        clear_character_cache()
-        rc, cold, _ = run(capsys, "gram", "--builder", "quadric:2")
-        assert rc == 0
-        assert cold == baseline
-        assert any(cache_dir.iterdir()), "the cache directory should be populated"
+    @staticmethod
+    def _assert_refused(rc, out, err):
+        assert rc == 3
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
-        clear_character_cache()
-        rc, warm, _ = run(capsys, "gram", "--builder", "quadric:2")
-        assert rc == 0
-        assert warm == baseline
+    @pytest.mark.parametrize("space", ["A21:P1", "A1000:P1"])
+    def test_space_above_the_limit(self, capsys, space):
+        self._assert_refused(*run(capsys, "cells", "--space", space))
 
-    def test_overwritten_cache_files_are_recomputed(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        argv = ("hom", "--space", "C3:P2", "--from", "U*", "--to", "U(-4)")
-        monkeypatch.setenv("EXCOL_CACHE_DIR", str(tmp_path))
-        clear_character_cache()
-        assert run(capsys, *argv)[:2] == (0, "k in degree 7\n")
-        files = list(tmp_path.iterdir())
-        assert files
-        for f in files:
-            f.write_text('[{"w": ["0", "0", "0"], "m": 5}]')
-        clear_character_cache()
-        assert run(capsys, *argv)[:2] == (0, "k in degree 7\n")
+    def test_document_above_the_limit(self, capsys, monkeypatch):
+        doc = _doc_with(space={"family": "A", "rank": 1000, "crossed": [1]})
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        self._assert_refused(*run(capsys, "verify", "--stdin"))
+
+
+def test_cache_directory_variable_is_ignored(capsys, monkeypatch, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("EXCOL_CACHE_DIR", str(blocker / "x"))
+    clear_character_cache()
+    argv = ("hom", "--space", "C3:P2", "--from", "U*", "--to", "U(-4)")
+    assert run(capsys, *argv)[:2] == (0, "k in degree 7\n")
 
 
 def _doc_with(**changes):

@@ -19,6 +19,7 @@ from excol import (
     is_dominant,
     make_dominant_dot,
     parabolic_cell_count,
+    parabolic_space,
     plain_dominantize,
     subsystem,
     validate_weight,
@@ -26,7 +27,7 @@ from excol import (
     weyl_orbit,
     weyl_order,
 )
-from excol.roots import ExcolError
+from excol.roots import MAX_RANK, ExcolError
 
 from helpers import random_weight
 
@@ -354,3 +355,23 @@ def test_weight_arithmetic():
     assert str(weight(-5, -5, 0)) == "(-5, -5, 0)"
     with pytest.raises(ValueError):
         a + weight(1, 2)
+
+
+def test_root_systems_and_subsystems_are_interned():
+    rs = build_root_system("C", 3)
+    assert build_root_system("C", 3) is rs
+    assert subsystem(rs, {1}) is subsystem(rs, [1])
+    assert subsystem(rs, None) is subsystem(rs, [1, 2, 3])
+
+
+def test_equal_spaces_compare_and_hash_equal():
+    first, second = parabolic_space("C", 3, [2]), parabolic_space("C", 3, [2])
+    assert first == second and hash(first) == hash(second)
+    assert first != parabolic_space("C", 3, [1])
+
+
+def test_rank_limit():
+    assert build_root_system("A", MAX_RANK).rank == MAX_RANK
+    for family in "ABCD":
+        with pytest.raises(ExcolError, match="exceeds"):
+            build_root_system(family, MAX_RANK + 1)
