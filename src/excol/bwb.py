@@ -197,7 +197,7 @@ def graded_hom_detail(
             continue
         k = ans.degree + offset
         out.setdefault(k, []).append((ans.dominant, mult))
-    return {k: sorted(v, key=lambda p: p[0].coords) for k, v in sorted(out.items())}
+    return {k: sorted(v, key=lambda p: p[0].sort_key) for k, v in sorted(out.items())}
 
 
 def graded_hom(src: BundleObject, dst: BundleObject) -> dict[int, int]:

@@ -5,15 +5,18 @@ irreducible character is computed by Freudenthal's recursion over the
 subsystem, dimensions by the Weyl product formula, tensor products by the
 Brauer-Klimyk (Racah-Speiser) formula.
 
-Irreducible characters are memoised in memory, per process, and only after
-their total has matched the Weyl dimension; results never depend on the
-memo, and clear_character_cache() empties it.
+All of it is integer arithmetic on doubled coordinates, through the
+numerator helpers of roots.  Characters and Weyl dimensions are memoised in
+memory, per process, behind validation, and a character only after its
+total has matched the Weyl dimension; results never depend on the memos,
+and clear_character_cache() empties both.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
@@ -22,12 +25,17 @@ from .roots import (
     RootSystem,
     Subsystem,
     Weight,
+    _add,
+    _dominantize,
+    _dot,
+    _dot_action,
+    _make,
+    _orbit,
+    _pairings,
     is_dominant,
-    make_dominant_dot,
     plain_dominantize,
     subsystem,
     validate_weight,
-    weyl_orbit,
 )
 
 __all__ = [
@@ -58,69 +66,75 @@ def weyl_dim(rs: RootSystem, mask: Iterable[int] | None, lam: Weight) -> int:
     sub = subsystem(rs, mask)
     if not is_dominant(sub, lam):
         raise DominanceError(f"{lam} is not dominant for mask {sorted(sub.mask)}")
-    num = Fraction(1)
-    shifted = lam + sub.rho
-    for a in sub.positive_roots:
-        num *= shifted.dot(a) / sub.rho.dot(a)
-    assert num.denominator == 1 and num > 0, "Weyl dimension must be a positive integer"
-    return int(num)
+    return _weyl_dim_cached(sub, lam)
+
+
+@lru_cache(maxsize=None)
+def _weyl_dim_cached(sub: Subsystem, lam: Weight) -> int:
+    # prod <lam + rho, alpha^vee> / prod <rho, alpha^vee>; doubling the
+    # coordinates scales numerator and denominator by the same factor
+    rho = sub.rho.num
+    num = math.prod(_pairings(sub.positive_int, _add(lam.num, rho)))
+    den = math.prod(_pairings(sub.positive_int, rho))
+    dim, rest = divmod(num, den)
+    assert rest == 0 and dim > 0, "Weyl dimension must be a positive integer"
+    return dim
 
 
 def _freudenthal(sub: Subsystem, lam: Weight) -> dict[Weight, int]:
     if not sub.positive_roots:
         return {lam: 1}
 
-    lam_norm = lam.dot(lam)
-    rho = sub.rho
-    top = lam + rho
-    top_norm = top.dot(top)
+    # Numerators throughout: lam is a lattice weight, so it shares its
+    # denominator with rho and the roots, and every norm and pairing is an
+    # integer, den^2 times its true value.
+    simple = sub.simple_int
+    top = lam.num
+    lam_norm = _dot(top, top)
+    rho = sub.rho.num
+    top_norm = _dot(_add(top, rho), _add(top, rho))
 
     # BFS through lam minus nonnegative combinations of subsystem simple
     # roots, pruned by the orbit norm bound |nu| <= |lam|.  Layer index is
     # the height of lam - nu, so dominant weights come out height-ordered.
-    layers: list[list[Weight]] = [[lam]]
-    seen = {lam}
+    layers: list[list[tuple[int, ...]]] = [[top]]
+    seen = {top}
     while layers[-1]:
-        nxt: list[Weight] = []
+        nxt: list[tuple[int, ...]] = []
         for v in layers[-1]:
             for a in sub.simple_roots:
-                u = v - a
-                if u not in seen and u.dot(u) <= lam_norm:
+                u = tuple(map(operator.sub, v, a.num))
+                if u not in seen and _dot(u, u) <= lam_norm:
                     seen.add(u)
                     nxt.append(u)
         layers.append(nxt)
     dominant_by_height = [
-        w for layer in layers for w in sorted(layer, key=lambda x: x.coords)
-        if is_dominant(sub, w)
+        w for layer in layers for w in sorted(layer)
+        if all(p >= 0 for p in _pairings(simple, w))
     ]
 
-    mult: dict[Weight, int] = {lam: 1}
-    for mu in dominant_by_height:
-        if mu == lam:
-            continue
-        acc = Fraction(0)
+    mult = {top: 1}
+    for mu in dominant_by_height[1:]:
+        acc = 0
         for a in sub.positive_roots:
-            k = 1
-            while True:
-                nu = mu + a.scale(k)
-                if nu.dot(nu) > lam_norm:
-                    break
-                m = mult.get(plain_dominantize(sub, nu), 0)
+            nu = _add(mu, a.num)
+            while _dot(nu, nu) <= lam_norm:
+                m = mult.get(_dominantize(simple, nu), 0)
                 if m:
-                    acc += m * nu.dot(a)
-                k += 1
-        shifted = mu + rho
-        denom = top_norm - shifted.dot(shifted)
+                    acc += m * _dot(nu, a.num)
+                nu = _add(nu, a.num)
+        shifted = _add(mu, rho)
+        denom = top_norm - _dot(shifted, shifted)
         assert denom > 0, "Freudenthal denominator must be positive below lam"
-        val = 2 * acc / denom
-        assert val.denominator == 1 and val > 0, "multiplicity must be a positive integer"
-        mult[mu] = int(val)
+        val, rest = divmod(2 * acc, denom)
+        assert rest == 0 and val > 0, "multiplicity must be a positive integer"
+        mult[mu] = val
 
     # expand over Weyl orbits; multiplicity is orbit-constant
     full: dict[Weight, int] = {}
     for mu, m in mult.items():
-        for w in weyl_orbit(sub, mu):
-            full[w] = m
+        for w in _orbit(simple, mu):
+            full[_make(w, lam.den)] = m
     return full
 
 
@@ -138,7 +152,7 @@ def irrep_character(
 @lru_cache(maxsize=None)
 def _character_cached(sub: Subsystem, lam: Weight) -> dict[Weight, int]:
     mults = _freudenthal(sub, lam)
-    dim_check = weyl_dim(sub.rs, sub.mask, lam)
+    dim_check = _weyl_dim_cached(sub, lam)
     assert sum(mults.values()) == dim_check, (
         f"character of {lam} sums to {sum(mults.values())}, Weyl dim is {dim_check}"
     )
@@ -146,8 +160,9 @@ def _character_cached(sub: Subsystem, lam: Weight) -> dict[Weight, int]:
 
 
 def clear_character_cache() -> None:
-    """Empty the in-memory memo of irreducible characters."""
+    """Empty the in-memory memos of characters and Weyl dimensions."""
     _character_cached.cache_clear()
+    _weyl_dim_cached.cache_clear()
 
 
 def tensor_decompose(
@@ -167,15 +182,16 @@ def tensor_decompose(
     if dim_mu > dim_lam:
         lam, mu = mu, lam
     counts: dict[Weight, int] = {}
+    # lam + nu is a lattice weight: no validation needed
     for nu, m in irrep_character(rs, sub.mask, mu).mults.items():
-        hit = make_dominant_dot(rs, sub.mask, lam + nu)
+        hit = _dot_action(sub, lam + nu)
         if hit is not None:
             length, dom = hit
             counts[dom] = counts.get(dom, 0) + (-m if length % 2 else m)
 
     out = sorted(
         ((w, c) for w, c in counts.items() if c),
-        key=lambda p: p[0].coords,
+        key=lambda p: p[0].sort_key,
         reverse=True,
     )
     assert all(c > 0 for _, c in out), "Brauer-Klimyk left a negative multiplicity"

@@ -43,7 +43,7 @@ class KClass:
     @staticmethod
     def from_dict(space: ParabolicSpace, terms: Mapping[Weight, int]) -> "KClass":
         clean = tuple(
-            sorted(((w, c) for w, c in terms.items() if c), key=lambda p: p[0].coords)
+            sorted(((w, c) for w, c in terms.items() if c), key=lambda p: p[0].sort_key)
         )
         return KClass(space, clean)
 

@@ -1,6 +1,10 @@
 """Classical root systems A/B/C/D in epsilon coordinates, with exact arithmetic.
 
-All vectors are tuples of fractions.Fraction; no floats appear anywhere.
+Weights are integer numerators over a common denominator, 2 for every
+lattice weight; coordinates read back as fractions.Fraction, and no floats
+appear anywhere.  Each Levi subsystem carries its roots and coroots as small
+integer tuples, so dominance tests, reflections and the dot action are
+integer arithmetic.
 Type A is modelled in the GL lattice (rank n lives in dimension n+1), so
 weights there are integer vectors of length n+1.  Types B and D admit
 half-integral (spin) weights provided every coordinate lies in the same
@@ -10,6 +14,8 @@ parity class; type C is integral.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,9 +24,9 @@ from typing import Iterable, Sequence
 FAMILIES = ("A", "B", "C", "D")
 
 # Largest rank build_root_system accepts.  At rank 20, cells, canonical and
-# bwb or hom on a line bundle finish in under a second on every family; at
-# rank 40 hom takes seconds, and larger ranks would run for minutes or hours,
-# so they are refused up front.
+# bwb or hom on a line bundle finish in hundredths of a second on every
+# family; building the system and its Levi grows about as rank^3 (up to 2 s
+# at rank 80), so larger ranks are refused up front.
 MAX_RANK = 20
 
 __all__ = [
@@ -63,70 +69,111 @@ class ParseError(ExcolError, ValueError):
     """Malformed textual input (space names, bundle names, documents)."""
 
 
-@dataclass(frozen=True)
+# not slots=True: on Python 3.11 a frozen slotted dataclass raises TypeError,
+# not AttributeError, when a non-field name such as coords is assigned
+@dataclass(frozen=True, init=False)
 class Weight:
-    """Immutable vector in epsilon coordinates."""
+    """Immutable vector in epsilon coordinates, held as integers.
 
-    coords: tuple[Fraction, ...]
+    The coordinates are num[k] / den with den = lcm(2, their denominators).
+    Every lattice weight thus has den = 2 and num its doubled coordinates:
+    the Weyl group acts on num by integer reflections, and num orders
+    weights as their coordinates do.  Other rationals still construct,
+    compare and hash; validate_weight refuses them.
+    """
 
-    def __post_init__(self) -> None:
-        if not all(isinstance(c, Fraction) for c in self.coords):
-            object.__setattr__(
-                self, "coords", tuple(Fraction(c) for c in self.coords)
-            )
+    num: tuple[int, ...]
+    den: int
+
+    def __init__(self, coords: Iterable[Fraction | int | str]) -> None:
+        fracs = [Fraction(c) for c in coords]
+        den = math.lcm(2, *(f.denominator for f in fracs))
+        num = tuple(f.numerator * (den // f.denominator) for f in fracs)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.num)
+
+    @property
+    def sort_key(self) -> tuple:
+        """Doubled coordinates: sorting by them is sorting by coords."""
+        if self.den == 2:
+            return self.num
+        return tuple(Fraction(2 * x, self.den) for x in self.num)
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.num)
+
+    def __repr__(self) -> str:
+        return f"Weight(coords={self.coords!r})"
+
+    def _combine(self, other: "Weight", op) -> "Weight":
+        self._check_dim(other)
+        if self.den == other.den == 2:
+            return _make(tuple(map(op, self.num, other.num)), 2)
+        den = math.lcm(self.den, other.den)
+        p, q = den // self.den, den // other.den
+        return _reduced((op(p * a, q * b) for a, b in zip(self.num, other.num)), den)
 
     def __add__(self, other: "Weight") -> "Weight":
-        self._check_dim(other)
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "Weight") -> "Weight":
-        self._check_dim(other)
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
+        return _make(tuple(-a for a in self.num), self.den)
 
     def scale(self, k: Fraction | int) -> "Weight":
         k = Fraction(k)
-        return Weight(tuple(k * a for a in self.coords))
+        return _reduced((k.numerator * a for a in self.num), k.denominator * self.den)
 
     def dot(self, other: "Weight") -> Fraction:
         self._check_dim(other)
-        return sum(
-            (a * b for a, b in zip(self.coords, other.coords)), Fraction(0)
-        )
+        return Fraction(_dot(self.num, other.num), self.den * other.den)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
+        return not any(self.num)
 
     def _check_dim(self, other: "Weight") -> None:
-        if len(self.coords) != len(other.coords):
+        if len(self.num) != len(other.num):
             raise ValueError(
-                f"dimension mismatch: {len(self.coords)} vs {len(other.coords)}"
+                f"dimension mismatch: {len(self.num)} vs {len(other.num)}"
             )
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
+def _make(num: tuple[int, ...], den: int) -> Weight:
+    """The weight num / den, for a den already in canonical form."""
+    w = object.__new__(Weight)
+    object.__setattr__(w, "num", num)
+    object.__setattr__(w, "den", den)
+    return w
+
+
+def _reduced(num: Iterable[int], den: int) -> Weight:
+    """The weight num / den, bringing den to lcm(2, coordinate denominators)."""
+    num = tuple(num)
+    g = math.gcd(den, *num)
+    num, den = tuple(x // g for x in num), den // g
+    if den % 2:
+        num, den = tuple(2 * x for x in num), 2 * den
+    return _make(num, den)
+
+
 def weight(*coords: Fraction | int | str) -> Weight:
     """Convenience constructor: weight(-5, -5, 0) or weight('1/2', '1/2')."""
-    return Weight(tuple(Fraction(c) for c in coords))
+    return Weight(coords)
 
 
-def _zero(dim: int) -> Weight:
-    return Weight(tuple(Fraction(0) for _ in range(dim)))
-
-
-def _eps(i: int, dim: int) -> Weight:
-    # i is 1-based
-    return Weight(
-        tuple(Fraction(1 if j == i - 1 else 0) for j in range(dim))
-    )
+def _half_sum(roots: Sequence[Weight], dim: int) -> Weight:
+    """rho: half the sum of the roots, whose doubled coordinates are the sum."""
+    return _make(tuple(sum(a.num[k] for a in roots) // 2 for k in range(dim)), 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,6 +195,10 @@ class RootSystem:
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
+    def __reduce__(self):
+        # unpickling and copying return the interned system
+        return _root_system_cached, (self.family, self.rank)
+
 
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct A_n (GL lattice, dim n+1), B_n, C_n (n >= 1) or D_n (n >= 2).
@@ -168,7 +219,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 @lru_cache(maxsize=None)
 def _root_system_cached(family: str, rank: int) -> RootSystem:
     dim = rank + 1 if family == "A" else rank
-    e = [_eps(i, dim) for i in range(1, dim + 1)]
+    e = [_make(tuple(2 * (j == i) for j in range(dim)), 2) for i in range(dim)]
 
     positives: list[Weight] = []
     if family == "A":
@@ -195,11 +246,9 @@ def _root_system_cached(family: str, rank: int) -> RootSystem:
         else:
             simples = tuple(chain + [e[rank - 2] + e[rank - 1]])
 
-    rho = _zero(dim)
-    for a in positives:
-        rho = rho + a
-    rho = rho.scale(Fraction(1, 2))
-    return RootSystem(family, rank, dim, simples, tuple(positives), rho)
+    return RootSystem(
+        family, rank, dim, simples, tuple(positives), _half_sum(positives, dim)
+    )
 
 
 def coroot_pairing(v: Weight, alpha: Weight) -> Fraction:
@@ -217,15 +266,15 @@ def validate_weight(rs: RootSystem, lam: Weight) -> None:
         raise LatticeError(
             f"weight has {lam.dim} coordinates, {rs} needs {rs.dim}"
         )
-    dens = {c.denominator for c in lam.coords}
-    if not dens <= {1, 2}:
+    if lam.den != 2:
         raise LatticeError(f"coordinates of {lam} have denominators beyond 2")
-    if 2 in dens:
+    odd = [x % 2 for x in lam.num]
+    if any(odd):
         if rs.family in ("A", "C"):
             raise LatticeError(
                 f"half-integral coordinates are not allowed in type {rs.family}"
             )
-        if dens != {2}:
+        if not all(odd):
             raise LatticeError(
                 f"{lam}: in types B/D all coordinates must share a parity class"
             )
@@ -265,10 +314,27 @@ def _simple_coefficients(rs: RootSystem, v: Weight) -> list[Fraction] | None:
     return sums
 
 
+# A root alpha = a e_i + b e_j as the integer tuple (i, j, a, b, c, d), where
+# alpha^vee = 2 alpha / (alpha, alpha) = c e_i + d e_j; a root with a single
+# nonzero coordinate has j = i and b = d = 0.  On the numerators v of any
+# weight, v[i] c + v[j] d is den <v, alpha^vee>, an integer, and the
+# reflection in alpha is v - (v[i] c + v[j] d) alpha.
+IntRoot = tuple[int, int, int, int, int, int]
+
+
+def _int_root(alpha: Weight) -> IntRoot:
+    (i, a), *rest = [(k, x // 2) for k, x in enumerate(alpha.num) if x]
+    j, b = rest[0] if rest else (i, 0)
+    norm = a * a + b * b
+    return (i, j, a, b, 2 * a // norm, 2 * b // norm)
+
+
 @dataclass(frozen=True, eq=False)
 class Subsystem:
     """The root subsystem spanned by a subset of simple roots (a Levi).
 
+    simple_int and positive_int repeat the simple and positive roots as
+    IntRoot tuples, so pairings and reflections are integer operations.
     Only _subsystem_cached constructs one, and it memoises on the interned
     root system and the mask, so equality and hashing are by identity.
     """
@@ -278,6 +344,11 @@ class Subsystem:
     simple_roots: tuple[Weight, ...]
     positive_roots: tuple[Weight, ...]
     rho: Weight
+    simple_int: tuple[IntRoot, ...]
+    positive_int: tuple[IntRoot, ...]
+
+    def __reduce__(self):
+        return _subsystem_cached, (self.rs, self.mask)
 
     def coefficients(self, v: Weight) -> tuple[Fraction, ...] | None:
         """Expansion of v over this subsystem's simple roots, if in the span."""
@@ -294,15 +365,14 @@ def _supported_in(coeffs: Sequence[Fraction], mask: frozenset[int]) -> bool:
 @lru_cache(maxsize=None)
 def _subsystem_cached(rs: RootSystem, mask: frozenset[int]) -> Subsystem:
     simples = tuple(rs.simple_roots[i - 1] for i in sorted(mask))
-    positives = [
+    positives = tuple(
         a for a in rs.positive_roots
         if _supported_in(_simple_coefficients(rs, a), mask)
-    ]
-    rho = _zero(rs.dim)
-    for a in positives:
-        rho = rho + a
-    rho = rho.scale(Fraction(1, 2))
-    return Subsystem(rs, mask, simples, tuple(positives), rho)
+    )
+    return Subsystem(
+        rs, mask, simples, positives, _half_sum(positives, rs.dim),
+        tuple(map(_int_root, simples)), tuple(map(_int_root, positives)),
+    )
 
 
 def subsystem(rs: RootSystem, mask: Iterable[int] | None = None) -> Subsystem:
@@ -311,37 +381,72 @@ def subsystem(rs: RootSystem, mask: Iterable[int] | None = None) -> Subsystem:
     return _subsystem_cached(rs, m)
 
 
-def is_dominant(sub: Subsystem, lam: Weight) -> bool:
-    return all(coroot_pairing(lam, a) >= 0 for a in sub.simple_roots)
+def _numerators(sub: Subsystem, v: Weight) -> tuple[int, ...]:
+    v._check_dim(sub.rho)
+    return v.num
 
 
-def plain_dominantize(sub: Subsystem, v: Weight) -> Weight:
-    """Unique dominant representative of v under the subsystem's Weyl group."""
-    cur = v
+def _add(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
+    return tuple(map(operator.add, x, y))
+
+
+def _dot(x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(map(operator.mul, x, y))
+
+
+def _pairings(roots: Sequence[IntRoot], v: Sequence[int]) -> list[int]:
+    """den <v, alpha^vee> for each root alpha, on the numerators v."""
+    return [v[i] * c + v[j] * d for i, j, _, _, c, d in roots]
+
+
+def _dominantize(roots: Sequence[IntRoot], v: Sequence[int]) -> tuple[int, ...]:
+    """Dominant representative of the numerators v under the simple reflections."""
+    cur = list(v)
     moved = True
     while moved:
         moved = False
-        for a in sub.simple_roots:
-            if coroot_pairing(cur, a) < 0:
-                cur = reflect(cur, a)
+        for i, j, a, b, c, d in roots:
+            p = cur[i] * c + cur[j] * d
+            if p < 0:
+                cur[i] -= p * a
+                cur[j] -= p * b
                 moved = True
-    return cur
+    return tuple(cur)
 
 
-def weyl_orbit(sub: Subsystem, v: Weight) -> set[Weight]:
-    """Full Weyl orbit of v under the subsystem's reflections (BFS)."""
+def _orbit(roots: Sequence[IntRoot], v: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Orbit of the numerators v under the simple reflections (BFS)."""
     seen = {v}
     frontier = [v]
     while frontier:
         nxt = []
         for u in frontier:
-            for a in sub.simple_roots:
-                r = reflect(u, a)
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
+            for i, j, a, b, c, d in roots:
+                p = u[i] * c + u[j] * d
+                if p:
+                    r = list(u)
+                    r[i] -= p * a
+                    r[j] -= p * b
+                    r = tuple(r)
+                    if r not in seen:
+                        seen.add(r)
+                        nxt.append(r)
         frontier = nxt
     return seen
+
+
+def is_dominant(sub: Subsystem, lam: Weight) -> bool:
+    return all(p >= 0 for p in _pairings(sub.simple_int, _numerators(sub, lam)))
+
+
+def plain_dominantize(sub: Subsystem, v: Weight) -> Weight:
+    """Unique dominant representative of v under the subsystem's Weyl group."""
+    return _make(_dominantize(sub.simple_int, _numerators(sub, v)), v.den)
+
+
+def weyl_orbit(sub: Subsystem, v: Weight) -> set[Weight]:
+    """Full Weyl orbit of v under the subsystem's reflections."""
+    return {_make(u, v.den) for u in _orbit(sub.simple_int, _numerators(sub, v))}
 
 
 def make_dominant_dot(
@@ -355,23 +460,24 @@ def make_dominant_dot(
     weight with mu + rho' in the Weyl orbit of lam + rho'.
     """
     validate_weight(rs, lam)
-    sub = subsystem(rs, mask)
-    v = lam + sub.rho
-    length = 0
-    for a in sub.positive_roots:
-        p = coroot_pairing(v, a)
-        if p == 0:
-            return None
-        if p < 0:
-            length += 1
-    dom = plain_dominantize(sub, v)
-    return length, dom - sub.rho
+    return _dot_action(subsystem(rs, mask), lam)
+
+
+def _dot_action(sub: Subsystem, lam: Weight) -> tuple[int, Weight] | None:
+    """make_dominant_dot for a lattice weight lam, without validation."""
+    # lam.num and rho.num are doubled coordinates
+    rho = sub.rho.num
+    v = _add(lam.num, rho)
+    pairings = _pairings(sub.positive_int, v)
+    if 0 in pairings:
+        return None
+    length = sum(p < 0 for p in pairings)
+    dom = _dominantize(sub.simple_int, v)
+    return length, _make(tuple(map(operator.sub, dom, rho)), 2)
 
 
 def weyl_order(rs: RootSystem) -> int:
     """Order of the full Weyl group, by the classical closed formulas."""
-    import math
-
     n = rs.rank
     if rs.family == "A":
         return math.factorial(n + 1)
@@ -388,11 +494,11 @@ def parabolic_cell_count(rs: RootSystem, levi_mask: Iterable[int]) -> int:
     of alpha is <rho_Levi, alpha^vee>.  The empty mask is the Borel case.
     """
     sub = subsystem(rs, _validate_mask(rs, levi_mask))
+    # each pairing is twice the height of the coroot
     num = den = 1
-    for a in sub.positive_roots:
-        height = int(coroot_pairing(sub.rho, a))
-        num *= height + 1
-        den *= height
+    for p in _pairings(sub.positive_int, sub.rho.num):
+        num *= p + 2
+        den *= p
     order, rest = divmod(num, den)
     assert rest == 0, "Macdonald's product must be an integer"
     total = weyl_order(rs)

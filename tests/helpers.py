@@ -3,7 +3,7 @@
 Weights are drawn by rejection sampling so that every property test runs
 on honestly random Levi-dominant inputs instead of a handpicked list.  The
 oracles at the end are the searches and eliminations the library replaced
-with closed forms.
+with closed forms, and the Fraction arithmetic it replaced with integers.
 """
 
 from fractions import Fraction
@@ -283,3 +283,144 @@ def thread_sweep(gram, space_dim):
 
     trace.append("thread: complete")
     return True, trace
+
+
+# ----------------------------------------------------------------------
+# Oracles: the Fraction arithmetic the library replaced with integer
+# numerators.  They work on coordinate tuples and take rho from the
+# subsystem's positive roots, so they share no arithmetic with the library.
+
+
+def _fdot(x, y):
+    return sum((a * b for a, b in zip(x, y)), Fraction(0))
+
+
+def fraction_coroot_pairing(v, alpha):
+    """<v, alpha^vee> = 2 (v, alpha) / (alpha, alpha) on coordinate tuples."""
+    return 2 * _fdot(v, alpha) / _fdot(alpha, alpha)
+
+
+def _freflect(v, alpha):
+    p = fraction_coroot_pairing(v, alpha)
+    return tuple(x - p * a for x, a in zip(v, alpha))
+
+
+def _frho(sub):
+    total = [Fraction(0)] * sub.rs.dim
+    for a in sub.positive_roots:
+        total = [t + x for t, x in zip(total, a.coords)]
+    return tuple(t / 2 for t in total)
+
+
+def _fdominantize(sub, v):
+    simples = [a.coords for a in sub.simple_roots]
+    cur = tuple(v)
+    moved = True
+    while moved:
+        moved = False
+        for a in simples:
+            if fraction_coroot_pairing(cur, a) < 0:
+                cur = _freflect(cur, a)
+                moved = True
+    return cur
+
+
+def fraction_is_dominant(sub, lam):
+    return all(fraction_coroot_pairing(lam.coords, a.coords) >= 0 for a in sub.simple_roots)
+
+
+def fraction_plain_dominantize(sub, v):
+    return Weight(_fdominantize(sub, v.coords))
+
+
+def fraction_weyl_orbit(sub, v):
+    """Weyl orbit by BFS over Fraction reflections."""
+    simples = [a.coords for a in sub.simple_roots]
+    seen = {v.coords}
+    frontier = [v.coords]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for a in simples:
+                r = _freflect(u, a)
+                if r not in seen:
+                    seen.add(r)
+                    nxt.append(r)
+        frontier = nxt
+    return {Weight(u) for u in seen}
+
+
+def fraction_make_dominant_dot(rs, mask, lam):
+    """The rho-shifted dot action over the rationals: (length, mu) or None."""
+    sub = subsystem(rs, mask)
+    rho = _frho(sub)
+    v = tuple(x + r for x, r in zip(lam.coords, rho))
+    length = 0
+    for a in sub.positive_roots:
+        p = fraction_coroot_pairing(v, a.coords)
+        if p == 0:
+            return None
+        if p < 0:
+            length += 1
+    dom = _fdominantize(sub, v)
+    return length, Weight(tuple(x - r for x, r in zip(dom, rho)))
+
+
+def fraction_weyl_dim(rs, mask, lam):
+    """Weyl's product prod (lam + rho, alpha) / (rho, alpha) over the rationals."""
+    sub = subsystem(rs, mask)
+    rho = _frho(sub)
+    shifted = tuple(x + r for x, r in zip(lam.coords, rho))
+    num = Fraction(1)
+    for a in sub.positive_roots:
+        num *= _fdot(shifted, a.coords) / _fdot(rho, a.coords)
+    assert num.denominator == 1 and num > 0
+    return int(num)
+
+
+def fraction_freudenthal(rs, mask, lam):
+    """Freudenthal's recursion over the rationals, expanded over Weyl orbits."""
+    sub = subsystem(rs, mask)
+    if not sub.positive_roots:
+        return {lam: 1}
+    roots = [a.coords for a in sub.positive_roots]
+    simples = [a.coords for a in sub.simple_roots]
+    rho = _frho(sub)
+    top = lam.coords
+    lam_norm = _fdot(top, top)
+    top_rho = tuple(x + r for x, r in zip(top, rho))
+    layers = [[top]]
+    seen = {top}
+    while layers[-1]:
+        nxt = []
+        for v in layers[-1]:
+            for a in simples:
+                u = tuple(x - y for x, y in zip(v, a))
+                if u not in seen and _fdot(u, u) <= lam_norm:
+                    seen.add(u)
+                    nxt.append(u)
+        layers.append(nxt)
+    dominant = [
+        w for layer in layers for w in sorted(layer)
+        if all(fraction_coroot_pairing(w, a) >= 0 for a in simples)
+    ]
+    mult = {top: 1}
+    for mu in dominant[1:]:
+        acc = Fraction(0)
+        for a in roots:
+            k = 1
+            while True:
+                nu = tuple(x + k * y for x, y in zip(mu, a))
+                if _fdot(nu, nu) > lam_norm:
+                    break
+                acc += mult.get(_fdominantize(sub, nu), 0) * _fdot(nu, a)
+                k += 1
+        shifted = tuple(x + r for x, r in zip(mu, rho))
+        val = 2 * acc / (_fdot(top_rho, top_rho) - _fdot(shifted, shifted))
+        assert val.denominator == 1 and val > 0
+        mult[mu] = int(val)
+    full = {}
+    for mu, m in mult.items():
+        for w in fraction_weyl_orbit(sub, Weight(mu)):
+            full[w] = m
+    return full

@@ -19,6 +19,7 @@ from excol import (
     dual_weight,
     irrep_character,
     is_dominant,
+    make_dominant_dot,
     parabolic_space,
     subsystem,
     tensor_decompose,
@@ -27,6 +28,8 @@ from excol import (
     weyl_dim,
     weyl_orbit,
 )
+
+from excol.characters import _character_cached, _weyl_dim_cached
 
 from helpers import random_dominant
 
@@ -281,6 +284,10 @@ def test_weyl_dim_rejects_non_dominant():
         irrep_character(rs, None, weight(-1, 0, 0))
 
 
+def _memo_sizes():
+    return [memo.cache_info().currsize for memo in (_character_cached, _weyl_dim_cached)]
+
+
 def test_characters_are_the_same_warm_and_after_a_clear(rng):
     cases = []
     for family, rank, mask in FREUDENTHAL_SITES:
@@ -290,11 +297,21 @@ def test_characters_are_the_same_warm_and_after_a_clear(rng):
             cases.append((rs, mask, random_dominant(rng, rs, sub, span=3, half=True)))
 
     def characters():
-        return [irrep_character(rs, mask, lam).mults for rs, mask, lam in cases]
+        return [
+            (
+                irrep_character(rs, mask, lam).mults,
+                weyl_dim(rs, mask, lam),
+                make_dominant_dot(rs, mask, -lam),
+                make_dominant_dot(rs, None, lam),
+            )
+            for rs, mask, lam in cases
+        ]
 
     characters()
     warm = characters()
+    assert all(_memo_sizes())
     clear_character_cache()
+    assert _memo_sizes() == [0, 0]
     assert characters() == warm
 
 
@@ -305,5 +322,7 @@ def test_verify_report_is_the_same_warm_and_after_a_clear():
         return out
 
     warm = report()
+    assert all(_memo_sizes())
     clear_character_cache()
+    assert _memo_sizes() == [0, 0]
     assert report() == warm

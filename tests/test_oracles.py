@@ -3,8 +3,9 @@
 Each test runs a formula the library uses (Brauer-Klimyk tensor products,
 Macdonald's product for Levi Weyl groups, fraction-free integer linear
 algebra, the fixed spinor constant, the thread verdict read off its
-preconditions, simple-root coefficients as partial sums) against the slower
-search kept in helpers.py, on seeded inputs.
+preconditions, simple-root coefficients as partial sums, the Weyl group,
+Weyl dimension and Freudenthal on integer numerators) against the slower
+search or Fraction arithmetic kept in helpers.py, on seeded inputs.
 """
 
 import itertools
@@ -15,23 +16,36 @@ import pytest
 from excol import (
     Weight,
     build_root_system,
+    irrep_character,
+    is_dominant,
+    make_dominant_dot,
     parabolic_cell_count,
     parabolic_space,
+    plain_dominantize,
     serre_operator,
     spinor_weight,
     subsystem,
     tensor_decompose,
     thread_check,
+    weyl_dim,
+    weyl_orbit,
 )
 from excol.cli import main
 from excol.homcalc import _det_exact
 
 from helpers import (
     fraction_det,
+    fraction_freudenthal,
     fraction_inverse,
+    fraction_is_dominant,
+    fraction_make_dominant_dot,
+    fraction_plain_dominantize,
+    fraction_weyl_dim,
+    fraction_weyl_orbit,
     greedy_tensor_decompose,
     orbit_cell_count,
     random_dominant,
+    random_weight,
     solve_coefficients,
     spinor_constant_search,
     thread_sweep,
@@ -222,3 +236,92 @@ def test_partial_sum_coefficients_match_gauss_solve(family, rank, rng):
             for v in vectors:
                 assert sub.coefficients(v) == solve_coefficients(sub.simple_roots, v)
             assert all(sub.coefficients(v) is not None for v in in_span)
+
+
+INTEGER_CORE_SYSTEMS = (
+    [("A", r) for r in range(1, 6)]
+    + [("B", r) for r in range(2, 6)]
+    + [("C", r) for r in range(2, 6)]
+    + [("D", r) for r in range(3, 6)]
+)
+
+
+def _masks(rng, rank):
+    """Every mask up to rank 4; above that the full, empty and 4 random masks."""
+    if rank <= 4:
+        return [
+            mask
+            for size in range(rank + 1)
+            for mask in itertools.combinations(range(1, rank + 1), size)
+        ]
+    nodes = range(1, rank + 1)
+    return [tuple(nodes), ()] + [
+        tuple(sorted(rng.sample(nodes, rng.randint(1, rank - 1)))) for _ in range(4)
+    ]
+
+
+def _lattice_weights(rng, rs, count, span):
+    """Seeded lattice weights, half of them half-integral in types B and D."""
+    half = rs.family in ("B", "D")
+    return [random_weight(rng, rs, span, half and k % 2) for k in range(count)]
+
+
+@pytest.mark.parametrize("family,rank", INTEGER_CORE_SYSTEMS)
+def test_integer_roots_match_fraction_coroots(family, rank, rng):
+    rs = build_root_system(family, rank)
+    for mask in _masks(rng, rank):
+        sub = subsystem(rs, mask)
+        pairs = list(zip(sub.simple_roots, sub.simple_int))
+        pairs += zip(sub.positive_roots, sub.positive_int)
+        for alpha, (i, j, a, b, c, d) in pairs:
+            root = [0] * rs.dim
+            coroot = [0] * rs.dim
+            root[i] += a
+            root[j] += b
+            coroot[i] += c
+            coroot[j] += d
+            assert tuple(root) == alpha.coords
+            norm = sum(x * x for x in alpha.coords)
+            assert tuple(coroot) == tuple(2 * x / norm for x in alpha.coords)
+
+
+@pytest.mark.parametrize("family,rank", INTEGER_CORE_SYSTEMS)
+def test_dot_action_matches_fraction_oracle(family, rank, rng):
+    rs = build_root_system(family, rank)
+    outcomes = set()
+    for mask in _masks(rng, rank):
+        for lam in _lattice_weights(rng, rs, 8, 4):
+            expected = fraction_make_dominant_dot(rs, mask, lam)
+            assert make_dominant_dot(rs, mask, lam) == expected
+            outcomes.add(expected is None)
+    assert outcomes == {True, False}, "both singular and regular weights are drawn"
+
+
+@pytest.mark.parametrize("family,rank", INTEGER_CORE_SYSTEMS)
+def test_weyl_group_matches_fraction_oracle(family, rank, rng):
+    rs = build_root_system(family, rank)
+    for mask in _masks(rng, rank):
+        sub = subsystem(rs, mask)
+        for v in _lattice_weights(rng, rs, 6, 4):
+            assert is_dominant(sub, v) == fraction_is_dominant(sub, v)
+            dom = plain_dominantize(sub, v)
+            assert dom == fraction_plain_dominantize(sub, v)
+            assert is_dominant(sub, dom) and fraction_is_dominant(sub, dom)
+        if rank <= 4:
+            v = _lattice_weights(rng, rs, 1, 2)[0]
+            assert weyl_orbit(sub, v) == fraction_weyl_orbit(sub, v)
+
+
+@pytest.mark.parametrize("family,rank", INTEGER_CORE_SYSTEMS)
+def test_weyl_dim_and_character_match_fraction_oracle(family, rank, rng):
+    rs = build_root_system(family, rank)
+    for mask in _masks(rng, rank):
+        sub = subsystem(rs, mask)
+        for k, v in enumerate(_lattice_weights(rng, rs, 4, 3)):
+            lam = fraction_plain_dominantize(sub, v)
+            assert weyl_dim(rs, mask, lam) == fraction_weyl_dim(rs, mask, lam)
+            if k < 2:
+                small = fraction_plain_dominantize(sub, _lattice_weights(rng, rs, 2, 1)[k])
+                assert irrep_character(rs, mask, small).mults == fraction_freudenthal(
+                    rs, mask, small
+                )
