@@ -2,19 +2,18 @@
 
 Characters are finite multiplicity maps weight -> positive integer.  The
 irreducible character is computed by Freudenthal's recursion over the
-subsystem, dimensions by the Weyl product formula, tensor products by the
-Brauer-Klimyk (Racah-Speiser) formula.
+subsystem, dimensions by the Weyl product formula (roots.weyl_product),
+tensor products by the Brauer-Klimyk (Racah-Speiser) formula.
 
 All of it is integer arithmetic on doubled coordinates, through the
 numerator helpers of roots.  Characters and Weyl dimensions are memoised in
 memory, per process, behind validation, and a character only after its
 total has matched the Weyl dimension; results never depend on the memos,
-and clear_character_cache() empties both.
+and clear_character_cache() empties both: no other answer is memoised.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,6 +35,7 @@ from .roots import (
     plain_dominantize,
     subsystem,
     validate_weight,
+    weyl_product,
 )
 
 __all__ = [
@@ -71,13 +71,8 @@ def weyl_dim(rs: RootSystem, mask: Iterable[int] | None, lam: Weight) -> int:
 
 @lru_cache(maxsize=None)
 def _weyl_dim_cached(sub: Subsystem, lam: Weight) -> int:
-    # prod <lam + rho, alpha^vee> / prod <rho, alpha^vee>; doubling the
-    # coordinates scales numerator and denominator by the same factor
-    rho = sub.rho.num
-    num = math.prod(_pairings(sub.positive_int, _add(lam.num, rho)))
-    den = math.prod(_pairings(sub.positive_int, rho))
-    dim, rest = divmod(num, den)
-    assert rest == 0 and dim > 0, "Weyl dimension must be a positive integer"
+    dim = weyl_product(sub, lam)
+    assert dim > 0, "Weyl dimension must be a positive integer"
     return dim
 
 

@@ -171,22 +171,12 @@ def _cmd_push(args) -> int:
     bundle = BundleObject(total, _parse_bundle_arg(total, args.bundle))
     result = pushforward(bundle, base)
     if args.json:
-        if result is None:
-            print(json.dumps({"zero": True}))
-        else:
-            print(
-                json.dumps(
-                    {
-                        "zero": False,
-                        "weight": _weight_json(result.hw),
-                        "shift": result.shift,
-                    }
-                )
-            )
-    elif result is None:
-        print("0")
+        doc = {"zero": result is None}
+        if result is not None:
+            doc.update(weight=_weight_json(result.hw), shift=result.shift)
+        print(json.dumps(doc))
     else:
-        print(str(result))
+        print("0" if result is None else str(result))
     return 0
 
 

@@ -13,9 +13,11 @@ completeness, only that every necessary condition passed.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from .roots import ExcolError, ParseError, Weight, validate_weight
@@ -24,6 +26,7 @@ from .bwb import (
     BundleObject,
     ParabolicSpace,
     bundle_weight,
+    cohomology,
     format_graded,
     graded_hom,
     parabolic_space,
@@ -224,8 +227,7 @@ def compose_fibration(
     objects = []
     names = []
     for tw, tw_label in zip(relative_twists, twist_labels):
-        validate_weight(rs, tw)
-        twist_obj = BundleObject(total, tw)
+        BundleObject(total, tw)  # refuses a twist that is not a bundle on total
         for obj, obj_label in zip(base.objects, base.labels):
             if weyl_dim(rs, mask_base, obj.hw) != weyl_dim(rs, mask_total, obj.hw):
                 raise ExcolError(
@@ -368,16 +370,27 @@ class VerificationReport:
         }
 
 
-def _check_diag_exact(obj: BundleObject) -> tuple[bool, str]:
-    dims = graded_hom(obj, obj)
+def _line_hom(table: dict, src: BundleObject, dst: BundleObject) -> dict[int, int]:
+    """graded_hom for line bundles, Hom(L_a, L_b) = H*(L_{b-a}) shifted; table
+    keeps the cohomology of each weight difference b - a computed so far."""
+    key = tuple(map(operator.sub, dst.hw.num, src.hw.num))
+    if key not in table:
+        table[key] = cohomology(src.space, dst.hw - src.hw)
+    return {k + src.shift - dst.shift: d for k, d in table[key].dims().items()}
+
+
+def _check_diag_exact(obj: BundleObject, hom=graded_hom) -> tuple[bool, str]:
+    dims = hom(obj, obj)
     return dims == {0: 1}, format_graded(dims)
 
 
-def _check_pair_exact(src: BundleObject, dst: BundleObject) -> tuple[bool, str, bool]:
-    dims = graded_hom(src, dst)
+def _check_pair_exact(
+    src: BundleObject, dst: BundleObject, hom=graded_hom
+) -> tuple[bool, str, bool]:
+    dims = hom(src, dst)
     if not dims:
         return True, "0", False
-    forward = graded_hom(dst, src)
+    forward = hom(dst, src)
     return False, format_graded(dims), not forward
 
 
@@ -403,15 +416,20 @@ def verify(
             "use chi_only for K-class collections"
         )
     n = len(objs)
-    gram = gram_matrix([_as_kclass(o) for o in objs])
+    gram = gram_matrix(objs)
     backward = [(j, i) for i in range(n) for j in range(i + 1, n)]
 
     if mode == "exact":
+        # Hom between two line bundles is the cohomology of a weight difference
+        space = collection.space
+        homs = {True: partial(_line_hom, {}), False: graded_hom}
+        line = [weyl_dim(space.rs, space.levi_mask, o.hw) == 1 for o in objs]
         exceptional = tuple(
-            PairResult(i, i, *_check_diag_exact(objs[i])) for i in range(n)
+            PairResult(i, i, *_check_diag_exact(objs[i], homs[line[i]])) for i in range(n)
         )
         semiorthogonal = tuple(
-            PairResult(j, i, *_check_pair_exact(objs[j], objs[i])) for j, i in backward
+            PairResult(j, i, *_check_pair_exact(objs[j], objs[i], homs[line[j] and line[i]]))
+            for j, i in backward
         )
     else:
         exceptional = tuple(

@@ -4,7 +4,9 @@ K-theory classes are integer combinations of full-flag line weights; the
 class of an irreducible bundle is its Levi character, signed by the parity
 of the shift.  The Euler pairing is computed either from graded Hom spaces
 or K-theoretically from line-bundle Euler characteristics; the two routes
-are kept separate so they can cross-check each other.
+are kept separate so they can cross-check each other.  A line-bundle Euler
+characteristic is Weyl's polynomial, a closed form with no memo; a Gram
+matrix evaluates it once per weight difference, in a table of that call.
 
 The thread verdict follows from triangularity and the period bound: once
 the Gram matrix is unit upper-triangular, the helix sweep closes at every
@@ -13,12 +15,12 @@ position (see thread_check), so only those preconditions are computed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .roots import ExcolError, RootSystem, Weight, make_dominant_dot
-from .characters import irrep_character, weyl_dim
+from .roots import ExcolError, RootSystem, Weight, subsystem, validate_weight, weyl_product
+from .characters import irrep_character
 from .bwb import BundleObject, ParabolicSpace, graded_hom
 
 __all__ = [
@@ -39,6 +41,10 @@ class KClass:
 
     space: ParabolicSpace
     terms: tuple[tuple[Weight, int], ...]
+
+    def __post_init__(self) -> None:
+        for w, _ in self.terms:
+            validate_weight(self.space.rs, w)
 
     @staticmethod
     def from_dict(space: ParabolicSpace, terms: Mapping[Weight, int]) -> "KClass":
@@ -87,29 +93,28 @@ def kclass_of(obj: BundleObject) -> KClass:
     return KClass.from_dict(obj.space, {w: sign * m for w, m in char.mults.items()})
 
 
-@lru_cache(maxsize=None)
 def chi_line(rs: RootSystem, nu: Weight) -> int:
     """Euler characteristic of the full-flag line bundle with weight nu."""
-    hit = make_dominant_dot(rs, None, nu)
-    if hit is None:
-        return 0
-    length, dom = hit
-    d = weyl_dim(rs, None, dom)
-    return -d if length % 2 else d
+    validate_weight(rs, nu)
+    return weyl_product(subsystem(rs), nu)
 
 
 def _as_kclass(obj: "BundleObject | KClass") -> KClass:
     return kclass_of(obj) if isinstance(obj, BundleObject) else obj
 
 
-def _chi_k(x: KClass, y: KClass) -> int:
+def _chi_k(x: KClass, y: KClass, table: dict) -> int:
+    """chi(x, y) as a sum of chi(L_{b-a}); table holds each b - a evaluated."""
     if x.space != y.space:
         raise ExcolError("Euler pairing needs both classes on the same space")
-    rs = x.space.rs
     total = 0
     for a, ca in x.terms:
         for b, cb in y.terms:
-            total += ca * cb * chi_line(rs, b - a)
+            d = tuple(map(operator.sub, b.num, a.num))
+            chi = table.get(d)
+            if chi is None:
+                chi = table[d] = weyl_product(subsystem(x.space.rs), b - a)
+            total += ca * cb * chi
     return total
 
 
@@ -123,7 +128,7 @@ def euler_pairing(
     the alternating sum (bundle inputs only).
     """
     if method == "chi":
-        return _chi_k(_as_kclass(x), _as_kclass(y))
+        return _chi_k(_as_kclass(x), _as_kclass(y), {})
     if method == "ext":
         if not (isinstance(x, BundleObject) and isinstance(y, BundleObject)):
             raise ExcolError("method='ext' needs actual bundles, not K-classes")
@@ -136,23 +141,27 @@ def gram_matrix(
     objects: Sequence["BundleObject | KClass"], method: str = "chi"
 ) -> list[list[int]]:
     """Matrix of Euler pairings G[i][j] = chi(E_i, E_j)."""
-    n = len(objects)
-    return [
-        [euler_pairing(objects[i], objects[j], method=method) for j in range(n)]
-        for i in range(n)
-    ]
+    if method != "chi":
+        return [[euler_pairing(x, y, method=method) for y in objects] for x in objects]
+    classes, table = [_as_kclass(o) for o in objects], {}
+    return [[_chi_k(x, y, table) for y in classes] for x in classes]
 
 
 def _bareiss(
     mat: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]
 ) -> tuple[int, list[list[int]] | None]:
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of [mat | rhs].
+    """Fraction-free (Bareiss) elimination of [mat | rhs].
 
     Returns (det mat, adj(mat) rhs); the second is None when mat is singular.
     Every division is exact, so the whole computation stays in integers.
+    An empty rhs eliminates below each pivot only, which is all det needs;
+    otherwise above it too (Gauss-Jordan).  A row with a zero in the pivot
+    column is skipped when the pivot equals the previous one, as
+    (pk * x - 0 * y) // prev == x: a unit triangular mat costs O(n^2) checks.
     """
     n = len(mat)
     a = [list(row) + list(extra) for row, extra in zip(mat, rhs)]
+    jordan = any(rhs)
     sign, prev = 1, 1
     for k in range(n):
         pivot = next((r for r in range(k, n) if a[r][k]), None)
@@ -162,12 +171,12 @@ def _bareiss(
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
         rowk, pk = a[k], a[k][k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
+        for i in range(0 if jordan else k + 1, n):
+            f = a[i][k]
+            if i != k and (f or pk != prev):
                 a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], rowk)]
         prev = pk
-    # the left block is now prev * I and the right block prev * mat^{-1} rhs
+    # after Jordan steps the left block is prev * I, the right prev * mat^-1 rhs
     return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
@@ -185,10 +194,6 @@ def _solve_unimodular(
     return [[det * x for x in row] for row in adj]
 
 
-def _transpose(mat: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [list(col) for col in zip(*mat)]
-
-
 def serre_operator(gram: Sequence[Sequence[int]]) -> list[list[int]]:
     """K-level Serre operator S = G^{-1} G^T acting on coordinate columns.
 
@@ -197,7 +202,7 @@ def serre_operator(gram: Sequence[Sequence[int]]) -> list[list[int]]:
     """
     if any(len(row) != len(gram) for row in gram):
         raise ExcolError("Gram matrix must be square")
-    return _solve_unimodular(gram, _transpose(gram))
+    return _solve_unimodular(gram, [list(col) for col in zip(*gram)])
 
 
 def mutate_pair_k(
@@ -210,7 +215,7 @@ def mutate_pair_k(
     """
     if left.terms == right.terms:
         raise ExcolError("refusing to mutate a pair with identical classes")
-    chi = _chi_k(left, right)
+    chi = _chi_k(left, right, {})
     if side == "left":
         return left.scale(chi).sub(right), left
     if side == "right":

@@ -48,6 +48,7 @@ __all__ = [
     "plain_dominantize",
     "weyl_orbit",
     "make_dominant_dot",
+    "weyl_product",
     "weyl_order",
     "parabolic_cell_count",
 ]
@@ -474,6 +475,20 @@ def _dot_action(sub: Subsystem, lam: Weight) -> tuple[int, Weight] | None:
     length = sum(p < 0 for p in pairings)
     dom = _dominantize(sub.simple_int, v)
     return length, _make(tuple(map(operator.sub, dom, rho)), 2)
+
+
+def weyl_product(sub: Subsystem, lam: Weight) -> int:
+    """Weyl's polynomial prod <lam + rho, a^vee> / prod <rho, a^vee> over sub.
+
+    For dominant lam it is a dimension; for any lattice weight lam it is, by
+    Borel-Weil-Bott, chi(L_lam) on the full flag: 0 when lam + rho is
+    singular, else signed by (-1)^length.  Doubled coordinates cancel.
+    """
+    rho = sub.rho.num
+    num = math.prod(_pairings(sub.positive_int, _add(lam.num, rho)))
+    val, rest = divmod(num, math.prod(_pairings(sub.positive_int, rho)))
+    assert rest == 0, "Weyl's polynomial must be an integer on lattice weights"
+    return val
 
 
 def weyl_order(rs: RootSystem) -> int:

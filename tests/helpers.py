@@ -151,6 +151,44 @@ def fraction_det(mat):
     return det
 
 
+def gauss_jordan_det(mat):
+    """Determinant by fraction-free Gauss-Jordan elimination of every row.
+
+    The elimination _det_exact ran before it became forward-only: each
+    pivot step updates all other rows, with no row skipped.
+    """
+    n = len(mat)
+    a = [list(row) for row in mat]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        rowk, pk = a[k], a[k][k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], rowk)]
+        prev = pk
+    return sign * prev
+
+
+def dot_action_chi_line(rs, nu):
+    """chi(L_nu) on the full flag by Borel-Weil-Bott: dot-dominantize nu and
+    sign the Weyl dimension by the length.  This is the search chi_line's
+    closed form replaced, here on the Fraction oracles below, so it shares
+    no arithmetic with the library."""
+    hit = fraction_make_dominant_dot(rs, None, nu)
+    if hit is None:
+        return 0
+    length, dom = hit
+    d = fraction_weyl_dim(rs, None, dom)
+    return -d if length % 2 else d
+
+
 def fraction_inverse(mat):
     """Inverse by Gauss-Jordan elimination over the rationals."""
     n = len(mat)

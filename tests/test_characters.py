@@ -14,7 +14,9 @@ from excol import (
     DominanceError,
     Weight,
     build_igr26,
+    build_orthogonal_flag,
     build_root_system,
+    chi_line,
     clear_character_cache,
     dual_weight,
     irrep_character,
@@ -316,13 +318,17 @@ def test_characters_are_the_same_warm_and_after_a_clear(rng):
 
 
 def test_verify_report_is_the_same_warm_and_after_a_clear():
-    def report():
-        out = verify(build_igr26()).to_json_dict()
-        out.pop("wall_time")
-        return out
+    for coll, mode in [(build_igr26(), "exact"), (build_orthogonal_flag(3), "chi_only")]:
 
-    warm = report()
-    assert all(_memo_sizes())
-    clear_character_cache()
-    assert _memo_sizes() == [0, 0]
-    assert report() == warm
+        def report():
+            out = verify(coll, mode).to_json_dict()
+            out.pop("wall_time")
+            return out
+
+        warm = report()
+        assert all(_memo_sizes())
+        clear_character_cache()
+        assert _memo_sizes() == [0, 0]
+        # chi of a line bundle is a closed form: no memo is left behind
+        assert not hasattr(chi_line, "cache_info")
+        assert report() == warm

@@ -6,6 +6,8 @@ controls, and fibration towers are compared object-for-object with the
 direct product builders.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,7 @@ from excol import (
     verify,
     weight,
 )
+from excol.collections import _check_diag_exact, _check_pair_exact
 
 IGR = parabolic_space("C", 3, [2])
 
@@ -296,6 +299,72 @@ class TestChiOnlyFailures:
         assert _failures(report.semiorthogonal) == []
         assert report.det == 4
         assert "det=4" in report.summary_line()
+
+
+class TestExactLinePath:
+    """Line-bundle pairs read Hom off a table of weight differences; every
+    result must equal the per-pair graded_hom route."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_symplectic_flag(2),
+            lambda: build_beilinson(3),
+            lambda: build_quadric(6),
+            build_igr26,
+        ],
+        ids=["symplectic:2", "beilinson:3", "quadric:6", "igr26"],
+    )
+    def test_matches_per_pair_graded_hom(self, build):
+        base = build()
+        objects = tuple(
+            obj.shifted(k % 3 - 1) for k, obj in enumerate(reversed(base.objects))
+        )
+        coll = CollectionSpec(
+            base.space, objects, "bundles", base.labels[::-1], "reversed-shifted"
+        )
+        report = verify(coll, mode="exact")
+        for r in report.exceptional:
+            assert (r.ok, r.evidence) == _check_diag_exact(objects[r.row])
+        for r in report.semiorthogonal:
+            expected = _check_pair_exact(objects[r.row], objects[r.col])
+            assert (r.ok, r.evidence, r.ordering_fixable) == expected
+        failing = {r.ordering_fixable for r in report.semiorthogonal if not r.ok}
+        assert True in failing
+        if base.provenance in ("quadric:6", "igr26"):
+            # both routes run: some objects are line bundles, some are not
+            ranks = {obj.rank for obj in objects}
+            assert 1 in ranks and max(ranks) > 1
+
+
+# Pinned from the commit before line-weight differences were tabulated.
+RANK_FOUR = [
+    (
+        build_symplectic_flag, "exact",
+        "384/384 exceptional, 73536/73536 semiorthogonal, length=cells=384, "
+        "det=1, thread=true",
+        "77ef3b4d54c9f145b08576c021cf39bf8366eb8b55e7f0d4e0999bfa426cc39f",
+    ),
+    (
+        build_orthogonal_flag, "chi_only",
+        "384/384 exceptional, 73536/73536 semiorthogonal, length=cells=384, "
+        "det=1, thread=skipped",
+        "7b2ad7af421c7b5edc3622269158a1307d0939ffd669f9d4d2455515be5943fa",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build,mode,summary,gram_sha256",
+    RANK_FOUR,
+    ids=["symplectic:4-exact", "orthogonal:4-chi_only"],
+)
+def test_rank_four_verify_is_pinned(build, mode, summary, gram_sha256):
+    report = verify(build(4), mode=mode)
+    assert report.summary_line() == summary
+    assert report.det == 1
+    rows = json.dumps([list(row) for row in report.gram], separators=(",", ":"))
+    assert hashlib.sha256(rows.encode()).hexdigest() == gram_sha256
 
 
 class TestComposeFibration:

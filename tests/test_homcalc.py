@@ -13,6 +13,7 @@ from excol import (
     BundleObject,
     ExcolError,
     KClass,
+    LatticeError,
     build_beilinson,
     build_igr26,
     build_quadric,
@@ -22,6 +23,7 @@ from excol import (
     chi_line,
     euler_pairing,
     gram_matrix,
+    graded_hom,
     kclass_of,
     mutate_pair_k,
     parabolic_space,
@@ -29,6 +31,7 @@ from excol import (
     thread_check,
     weight,
 )
+from excol import homcalc
 from excol.homcalc import _det_exact
 
 from helpers import random_levi_dominant
@@ -66,6 +69,12 @@ class TestKClass:
             weight(0, -1, 0): 1,
             weight(-1, 0, 0): 1,
         }
+
+    def test_terms_must_be_lattice_weights(self):
+        with pytest.raises(LatticeError):
+            KClass.from_dict(P1, {weight("1/2", "1/2"): 1})
+        with pytest.raises(LatticeError):
+            KClass.from_dict(IGR, {weight(0, 0): 1})
 
     def test_kclass_of_signs_odd_shifts(self):
         o = BundleObject(IGR, weight(0, 0, 0))
@@ -119,6 +128,27 @@ def test_euler_pairing_ext_needs_bundles():
         euler_pairing(kclass_of(o), kclass_of(o), method="ext")
     with pytest.raises(ExcolError):
         euler_pairing(o, o, method="fancy")
+
+
+def test_gram_matrix_keeps_its_route(monkeypatch):
+    coll = build_igr26()
+    with pytest.raises(ExcolError, match="needs actual bundles"):
+        gram_matrix([kclass_of(o) for o in coll.objects], method="ext")
+    with pytest.raises(ExcolError, match="unknown Euler pairing method"):
+        gram_matrix(list(coll.objects), method="bogus")
+
+    calls = []
+
+    def counting_graded_hom(src, dst):
+        calls.append((src, dst))
+        return graded_hom(src, dst)
+
+    monkeypatch.setattr(homcalc, "graded_hom", counting_graded_hom)
+    ext = gram_matrix(list(coll.objects), method="ext")
+    assert len(calls) == len(coll) ** 2
+    calls.clear()
+    assert gram_matrix(list(coll.objects)) == ext
+    assert calls == []
 
 
 def test_gram_beilinson_plane():

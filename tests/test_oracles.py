@@ -31,9 +31,10 @@ from excol import (
     weyl_orbit,
 )
 from excol.cli import main
-from excol.homcalc import _det_exact
+from excol.homcalc import _bareiss, _det_exact, chi_line
 
 from helpers import (
+    dot_action_chi_line,
     fraction_det,
     fraction_freudenthal,
     fraction_inverse,
@@ -42,6 +43,7 @@ from helpers import (
     fraction_plain_dominantize,
     fraction_weyl_dim,
     fraction_weyl_orbit,
+    gauss_jordan_det,
     greedy_tensor_decompose,
     orbit_cell_count,
     random_dominant,
@@ -128,6 +130,67 @@ def test_integer_linear_algebra_matches_fractions(rng):
             for i in range(n)
         ]
         assert serre_operator(uni) == expected
+
+
+def _determinant_cases(rng):
+    """Seeded integer matrices up to 8x8 that exercise every pivot case."""
+    cases = []
+    for n in range(1, 9):
+        for _ in range(6):
+            # sparse: zeros in pivot columns under pivots other than 1
+            cases.append(
+                [[rng.choice((0, 0, 0, 2, -3, 5)) for _ in range(n)] for _ in range(n)]
+            )
+            dense = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            cases.append(dense)
+            # a zero top-left entry forces a row swap at the first pivot
+            swapped = [row[:] for row in dense]
+            swapped[0][0] = 0
+            if n > 1:
+                swapped[rng.randrange(1, n)][0] = rng.choice((-2, 3))
+            cases.append(swapped)
+            # singular: the last row is a combination of earlier ones
+            singular = [row[:] for row in dense]
+            f = rng.randint(-2, 2)
+            singular[-1] = [f * x - y for x, y in zip(dense[0], dense[(n - 1) // 2])]
+            if n > 1:
+                cases.append(singular)
+            cases.append([[0] + row[1:] for row in dense])
+            # triangular with non-unit pivots, then with its rows shuffled
+            upper = [
+                [rng.choice((1, -1, 2, 3)) if i == j else rng.randint(-3, 3) * (j > i)
+                 for j in range(n)]
+                for i in range(n)
+            ]
+            cases.append(upper)
+            cases.append(rng.sample(upper, n))
+            cases.append(_random_unit_upper(rng, n))
+    return cases
+
+
+def test_forward_determinant_matches_both_oracles(rng):
+    cases = _determinant_cases(rng)
+    values = []
+    for mat in cases:
+        expected = fraction_det(mat)
+        assert gauss_jordan_det(mat) == expected
+        assert _det_exact(mat) == expected
+        values.append(expected)
+    assert values.count(0) >= 7 * 6 and any(abs(v) > 1 for v in values)
+
+
+def test_gauss_jordan_path_gives_the_adjugate(rng):
+    # with a right-hand side _bareiss still eliminates above each pivot
+    for mat in _determinant_cases(rng):
+        n = len(mat)
+        det, adj = _bareiss(mat, [[int(i == j) for j in range(n)] for i in range(n)])
+        assert det == fraction_det(mat)
+        if det == 0:
+            assert adj is None
+            continue
+        for i in range(n):
+            row = [sum(mat[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
+            assert row == [det * (i == j) for j in range(n)]
 
 
 @pytest.mark.parametrize("dim", range(3, 26))
@@ -325,3 +388,15 @@ def test_weyl_dim_and_character_match_fraction_oracle(family, rank, rng):
                 assert irrep_character(rs, mask, small).mults == fraction_freudenthal(
                     rs, mask, small
                 )
+
+
+@pytest.mark.parametrize("family,rank", INTEGER_CORE_SYSTEMS)
+def test_chi_line_matches_dot_action_oracle(family, rank, rng):
+    rs = build_root_system(family, rank)
+    values = []
+    for nu in _lattice_weights(rng, rs, 300, 3):
+        expected = dot_action_chi_line(rs, nu)
+        assert chi_line(rs, nu) == expected, nu
+        values.append(expected)
+    assert 0 in values, "singular weights are drawn"
+    assert min(values) < 0 < max(values), "both signs of chi are drawn"
