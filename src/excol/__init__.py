@@ -1,133 +1,16 @@
 """Exact-arithmetic workbench for exceptional collections on classical homogeneous spaces."""
 
-from .roots import (
-    DominanceError,
-    ExcolError,
-    LatticeError,
-    ParseError,
-    RootSystem,
-    Subsystem,
-    Weight,
-    build_root_system,
-    coroot_pairing,
-    full_mask,
-    is_dominant,
-    make_dominant_dot,
-    parabolic_cell_count,
-    plain_dominantize,
-    reflect,
-    subsystem,
-    validate_weight,
-    weight,
-    weyl_orbit,
-    weyl_order,
-)
-from .characters import (
-    Character,
-    clear_character_cache,
-    dual_weight,
-    irrep_character,
-    tensor_decompose,
-    weyl_dim,
-)
-from .bwb import (
-    BundleObject,
-    CohomologyAnswer,
-    ParabolicSpace,
-    bundle_weight,
-    canonical_bundle,
-    cohomology,
-    format_graded,
-    graded_hom,
-    graded_hom_detail,
-    parabolic_space,
-    pushforward,
-    space_from_string,
-    spinor_weight,
-)
-from .homcalc import (
-    KClass,
-    chi_line,
-    euler_pairing,
-    gram_matrix,
-    kclass_of,
-    mutate_pair_k,
-    serre_operator,
-    thread_check,
-)
-from .collections import (
-    CollectionSpec,
-    VerificationReport,
-    build_beilinson,
-    build_igr26,
-    build_orthogonal_flag,
-    build_quadric,
-    build_symplectic_flag,
-    compose_fibration,
-    dump_collection,
-    load_collection,
-    verify,
-)
+from . import bwb, characters, collections, homcalc, roots
+from .roots import *
+from .characters import *
+from .bwb import *
+from .homcalc import *
+from .collections import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BundleObject",
-    "Character",
-    "CohomologyAnswer",
-    "CollectionSpec",
-    "DominanceError",
-    "ExcolError",
-    "KClass",
-    "LatticeError",
-    "ParabolicSpace",
-    "ParseError",
-    "RootSystem",
-    "Subsystem",
-    "VerificationReport",
-    "Weight",
-    "build_beilinson",
-    "build_igr26",
-    "build_orthogonal_flag",
-    "build_quadric",
-    "build_root_system",
-    "build_symplectic_flag",
-    "bundle_weight",
-    "canonical_bundle",
-    "chi_line",
-    "clear_character_cache",
-    "cohomology",
-    "compose_fibration",
-    "coroot_pairing",
-    "dual_weight",
-    "dump_collection",
-    "euler_pairing",
-    "format_graded",
-    "full_mask",
-    "graded_hom",
-    "graded_hom_detail",
-    "gram_matrix",
-    "irrep_character",
-    "is_dominant",
-    "kclass_of",
-    "load_collection",
-    "make_dominant_dot",
-    "mutate_pair_k",
-    "parabolic_cell_count",
-    "parabolic_space",
-    "plain_dominantize",
-    "pushforward",
-    "reflect",
-    "serre_operator",
-    "space_from_string",
-    "spinor_weight",
-    "subsystem",
-    "tensor_decompose",
-    "thread_check",
-    "validate_weight",
-    "verify",
-    "weight",
-    "weyl_dim",
-    "weyl_orbit",
-    "weyl_order",
-]
+__all__ = sorted({
+    name
+    for module in (roots, characters, bwb, homcalc, collections)
+    for name in module.__all__
+})

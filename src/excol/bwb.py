@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .roots import (
@@ -21,8 +20,8 @@ from .roots import (
     RootSystem,
     Subsystem,
     Weight,
+    _dot_action,
     build_root_system,
-    coroot_pairing,
     is_dominant,
     make_dominant_dot,
     parabolic_cell_count,
@@ -131,9 +130,11 @@ class BundleObject:
 
     def tensor_line(self, line: Weight) -> "BundleObject":
         """Tensor by the line bundle with the given weight."""
-        for a in self.space.levi.simple_roots:
-            if coroot_pairing(line, a) != 0:
-                raise ExcolError(f"{line} is not a line bundle weight on {self.space}")
+        validate_weight(self.space.rs, line)
+        # a line bundle weight pairs to zero with every Levi coroot
+        levi = self.space.levi
+        if not (is_dominant(levi, line) and is_dominant(levi, -line)):
+            raise ExcolError(f"{line} is not a line bundle weight on {self.space}")
         return BundleObject(self.space, self.hw + line, self.shift)
 
     def shifted(self, k: int) -> "BundleObject":
@@ -165,10 +166,11 @@ class CohomologyAnswer:
 
 def cohomology(space: ParabolicSpace, hw: Weight) -> CohomologyAnswer:
     """Sheaf cohomology of the irreducible bundle with Levi-highest weight hw."""
+    rs = space.rs
+    validate_weight(rs, hw)
     if not is_dominant(space.levi, hw):
         raise DominanceError(f"{hw} is not dominant for the Levi of {space}")
-    rs = space.rs
-    hit = make_dominant_dot(rs, None, hw)
+    hit = _dot_action(subsystem(rs), hw)
     if hit is None:
         return CohomologyAnswer(None, None, 0)
     length, dom = hit
@@ -287,11 +289,10 @@ def spinor_weight(space: ParabolicSpace, sign: int = 0) -> Weight:
     else:
         if sign not in (1, -1):
             raise ExcolError("even quadrics need sign=+1 or sign=-1")
-    half = Fraction(1, 2)
-    coords = [half] * rs.rank
+    coords = ["1/2"] * rs.rank
     if rs.family == "D" and sign == -1:
-        coords[-1] = -half
-    return Weight(tuple(coords))
+        coords[-1] = "-1/2"
+    return Weight(coords)
 
 
 _NAME_RES = [
@@ -331,7 +332,7 @@ def bundle_weight(space: ParabolicSpace, name: str) -> Weight:
     if kind == "O":
         t = m.group(1)
         if t is None or int(t) == 0:
-            return Weight(tuple([Fraction(0)] * dim))
+            return Weight([0] * dim)
         return twist(t)
 
     if kind in ("U", "SU"):
@@ -345,11 +346,11 @@ def bundle_weight(space: ParabolicSpace, name: str) -> Weight:
                 base[0] = 1
             else:
                 base[k - 1] = -1
-            return Weight(tuple(Fraction(x) for x in base)) + twist(t)
+            return Weight(base) + twist(t)
         a, t = int(m.group(1)), m.group(2)
         base = [0] * dim
         base[k - 1] = -a
-        return Weight(tuple(Fraction(x) for x in base)) + twist(t)
+        return Weight(base) + twist(t)
 
     if kind == "SIGMA":
         sgn, t = m.group(1), m.group(2)
@@ -365,15 +366,13 @@ def bundle_weight(space: ParabolicSpace, name: str) -> Weight:
     if kind == "PULL":
         proj, t = m.group(1), int(m.group(2) or 0)
         k = 1 if proj == "p" else 2
-        coords = [t] * k + [0] * (dim - k)
-        return Weight(tuple(Fraction(x) for x in coords))
+        return Weight([t] * k + [0] * (dim - k))
 
     if kind == "SUB":
         which, t = m.group(1), int(m.group(2) or 0)
         coords = [0] * dim
         coords[1 if which == "N" else 0] = t
-        return Weight(tuple(Fraction(x) for x in coords))
+        return Weight(coords)
 
     i, j = int(m.group(1)), int(m.group(2))
-    coords = [-i, -j] + [0] * (dim - 2)
-    return Weight(tuple(Fraction(x) for x in coords))
+    return Weight([-i, -j] + [0] * (dim - 2))

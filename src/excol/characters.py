@@ -80,9 +80,8 @@ def _freudenthal(sub: Subsystem, lam: Weight) -> dict[Weight, int]:
     if not sub.positive_roots:
         return {lam: 1}
 
-    # Numerators throughout: lam is a lattice weight, so it shares its
-    # denominator with rho and the roots, and every norm and pairing is an
-    # integer, den^2 times its true value.
+    # Doubled coordinates throughout, so every norm and pairing is an
+    # integer, four times its true value.
     simple = sub.simple_int
     top = lam.num
     lam_norm = _dot(top, top)
@@ -129,7 +128,7 @@ def _freudenthal(sub: Subsystem, lam: Weight) -> dict[Weight, int]:
     full: dict[Weight, int] = {}
     for mu, m in mult.items():
         for w in _orbit(simple, mu):
-            full[_make(w, lam.den)] = m
+            full[_make(w)] = m
     return full
 
 
@@ -197,6 +196,7 @@ def tensor_decompose(
 
 def dual_weight(rs: RootSystem, mask: Iterable[int] | None, lam: Weight) -> Weight:
     """Highest weight of the dual representation: -w0(lam) over the subsystem."""
+    validate_weight(rs, lam)
     sub = subsystem(rs, mask)
     if not is_dominant(sub, lam):
         raise DominanceError(f"{lam} is not dominant for mask {sorted(sub.mask)}")

@@ -126,7 +126,7 @@ def build_symplectic_flag(n: int) -> CollectionSpec:
     names = []
     for tup in itertools.product(*reversed(ranges)):
         js = tuple(reversed(tup))  # js[k] = j_k
-        w = Weight(tuple(Fraction(j) for j in js))
+        w = Weight(js)
         objects.append(BundleObject(space, w))
         names.append("O(" + ",".join(str(j) for j in tup) + ")")
     return CollectionSpec(
@@ -137,18 +137,16 @@ def build_symplectic_flag(n: int) -> CollectionSpec:
 def _orthogonal_level_choices(n: int, m: int) -> list[tuple[str, dict[Weight, int]]]:
     """Per-level menu for the odd orthogonal flag tower, spinor first."""
     d = 2 * n - 2 * m - 1
-    half = Fraction(1, 2)
     spinor: dict[Weight, int] = {}
-    for signs in itertools.product((half, -half), repeat=n - m - 1):
-        coords = [-half] * m + [half - d] + list(signs)
-        w = Weight(tuple(coords))
+    for signs in itertools.product(("1/2", "-1/2"), repeat=n - m - 1):
+        w = Weight(["-1/2"] * m + [f"{1 - 2 * d}/2", *signs])
         spinor[w] = spinor.get(w, 0) + 1
     out: list[tuple[str, dict[Weight, int]]] = [(f"Sig{m}", spinor)]
     for j in range(-(d - 1), 1):
-        coords = [Fraction(0)] * n
-        coords[m] = Fraction(j)
+        coords = [0] * n
+        coords[m] = j
         label = "" if j == 0 else (f"O_Q({j})" if m == 0 else f"O_M{m}({j})")
-        out.append((label, {Weight(tuple(coords)): 1}))
+        out.append((label, {Weight(coords): 1}))
     return out
 
 
@@ -168,7 +166,7 @@ def build_orthogonal_flag(n: int) -> CollectionSpec:
     objects = []
     names = []
     for picks in itertools.product(*reversed(menus)):
-        terms: dict[Weight, int] = {Weight(tuple([Fraction(0)] * n)): 1}
+        terms: dict[Weight, int] = {Weight([0] * n): 1}
         bits = []
         for label, mults in picks:
             nxt: dict[Weight, int] = {}
@@ -481,7 +479,7 @@ def _weight_parse(raw) -> Weight:
         isinstance(c, bool) or not isinstance(c, (int, str)) for c in raw
     ):
         raise ParseError(f"cannot parse weight {raw!r}")
-    return Weight(tuple(Fraction(c) for c in raw))
+    return Weight(raw)
 
 
 def _weight_json(w: Weight) -> list:

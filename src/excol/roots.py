@@ -1,10 +1,10 @@
 """Classical root systems A/B/C/D in epsilon coordinates, with exact arithmetic.
 
-Weights are integer numerators over a common denominator, 2 for every
-lattice weight; coordinates read back as fractions.Fraction, and no floats
-appear anywhere.  Each Levi subsystem carries its roots and coroots as small
-integer tuples, so dominance tests, reflections and the dot action are
-integer arithmetic.
+Weights are held as their doubled coordinates, which are integers for every
+weight of a classical group; coordinates read back as fractions.Fraction,
+and no floats appear anywhere.  Each Levi subsystem carries its roots and
+coroots as small integer tuples, so dominance tests, reflections and the
+dot action are integer arithmetic.
 Type A is modelled in the GL lattice (rank n lives in dimension n+1), so
 weights there are integer vectors of length n+1.  Types B and D admit
 half-integral (spin) weights provided every coordinate lies in the same
@@ -30,8 +30,6 @@ FAMILIES = ("A", "B", "C", "D")
 MAX_RANK = 20
 
 __all__ = [
-    "FAMILIES",
-    "MAX_RANK",
     "ExcolError",
     "LatticeError",
     "DominanceError",
@@ -41,6 +39,8 @@ __all__ = [
     "RootSystem",
     "build_root_system",
     "coroot_pairing",
+    "reflect",
+    "validate_weight",
     "full_mask",
     "Subsystem",
     "subsystem",
@@ -48,7 +48,6 @@ __all__ = [
     "plain_dominantize",
     "weyl_orbit",
     "make_dominant_dot",
-    "weyl_product",
     "weyl_order",
     "parabolic_cell_count",
 ]
@@ -76,33 +75,30 @@ class ParseError(ExcolError, ValueError):
 class Weight:
     """Immutable vector in epsilon coordinates, held as integers.
 
-    The coordinates are num[k] / den with den = lcm(2, their denominators).
-    Every lattice weight thus has den = 2 and num its doubled coordinates:
-    the Weyl group acts on num by integer reflections, and num orders
-    weights as their coordinates do.  Other rationals still construct,
-    compare and hash; validate_weight refuses them.
+    num holds twice the coordinates.  Every weight of a classical group has
+    coordinates in (1/2)Z, so num is an integer tuple: the Weyl group acts
+    on it by integer reflections, and it orders weights as their coordinates
+    do.  Coordinates outside (1/2)Z are refused with LatticeError.
     """
 
     num: tuple[int, ...]
-    den: int
 
     def __init__(self, coords: Iterable[Fraction | int | str]) -> None:
         fracs = [Fraction(c) for c in coords]
-        den = math.lcm(2, *(f.denominator for f in fracs))
-        num = tuple(f.numerator * (den // f.denominator) for f in fracs)
+        if any(f.denominator > 2 for f in fracs):
+            shown = ", ".join(map(str, fracs))
+            raise LatticeError(f"coordinates of ({shown}) have denominators beyond 2")
+        num = tuple(f.numerator * (2 // f.denominator) for f in fracs)
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.num)
+        return tuple(Fraction(x, 2) for x in self.num)
 
     @property
-    def sort_key(self) -> tuple:
+    def sort_key(self) -> tuple[int, ...]:
         """Doubled coordinates: sorting by them is sorting by coords."""
-        if self.den == 2:
-            return self.num
-        return tuple(Fraction(2 * x, self.den) for x in self.num)
+        return self.num
 
     @property
     def dim(self) -> int:
@@ -113,11 +109,7 @@ class Weight:
 
     def _combine(self, other: "Weight", op) -> "Weight":
         self._check_dim(other)
-        if self.den == other.den == 2:
-            return _make(tuple(map(op, self.num, other.num)), 2)
-        den = math.lcm(self.den, other.den)
-        p, q = den // self.den, den // other.den
-        return _reduced((op(p * a, q * b) for a, b in zip(self.num, other.num)), den)
+        return _make(tuple(map(op, self.num, other.num)))
 
     def __add__(self, other: "Weight") -> "Weight":
         return self._combine(other, operator.add)
@@ -126,15 +118,15 @@ class Weight:
         return self._combine(other, operator.sub)
 
     def __neg__(self) -> "Weight":
-        return _make(tuple(-a for a in self.num), self.den)
+        return _make(tuple(-a for a in self.num))
 
     def scale(self, k: Fraction | int) -> "Weight":
         k = Fraction(k)
-        return _reduced((k.numerator * a for a in self.num), k.denominator * self.den)
+        return Weight(Fraction(k.numerator * a, 2 * k.denominator) for a in self.num)
 
     def dot(self, other: "Weight") -> Fraction:
         self._check_dim(other)
-        return Fraction(_dot(self.num, other.num), self.den * other.den)
+        return Fraction(_dot(self.num, other.num), 4)
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -149,22 +141,11 @@ class Weight:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-def _make(num: tuple[int, ...], den: int) -> Weight:
-    """The weight num / den, for a den already in canonical form."""
+def _make(num: tuple[int, ...]) -> Weight:
+    """The weight with doubled coordinates num."""
     w = object.__new__(Weight)
     object.__setattr__(w, "num", num)
-    object.__setattr__(w, "den", den)
     return w
-
-
-def _reduced(num: Iterable[int], den: int) -> Weight:
-    """The weight num / den, bringing den to lcm(2, coordinate denominators)."""
-    num = tuple(num)
-    g = math.gcd(den, *num)
-    num, den = tuple(x // g for x in num), den // g
-    if den % 2:
-        num, den = tuple(2 * x for x in num), 2 * den
-    return _make(num, den)
 
 
 def weight(*coords: Fraction | int | str) -> Weight:
@@ -174,7 +155,7 @@ def weight(*coords: Fraction | int | str) -> Weight:
 
 def _half_sum(roots: Sequence[Weight], dim: int) -> Weight:
     """rho: half the sum of the roots, whose doubled coordinates are the sum."""
-    return _make(tuple(sum(a.num[k] for a in roots) // 2 for k in range(dim)), 2)
+    return _make(tuple(sum(a.num[k] for a in roots) // 2 for k in range(dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +201,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 @lru_cache(maxsize=None)
 def _root_system_cached(family: str, rank: int) -> RootSystem:
     dim = rank + 1 if family == "A" else rank
-    e = [_make(tuple(2 * (j == i) for j in range(dim)), 2) for i in range(dim)]
+    e = [_make(tuple(2 * (j == i) for j in range(dim))) for i in range(dim)]
 
     positives: list[Weight] = []
     if family == "A":
@@ -267,8 +248,6 @@ def validate_weight(rs: RootSystem, lam: Weight) -> None:
         raise LatticeError(
             f"weight has {lam.dim} coordinates, {rs} needs {rs.dim}"
         )
-    if lam.den != 2:
-        raise LatticeError(f"coordinates of {lam} have denominators beyond 2")
     odd = [x % 2 for x in lam.num]
     if any(odd):
         if rs.family in ("A", "C"):
@@ -294,31 +273,31 @@ def _validate_mask(rs: RootSystem, mask: Iterable[int]) -> frozenset[int]:
     return m
 
 
-def _simple_coefficients(rs: RootSystem, v: Weight) -> list[Fraction] | None:
-    """Coefficients of v over all simple roots of rs, or None outside their span.
+def _simple_coefficients(rs: RootSystem, v: Weight) -> list[int] | None:
+    """Four times the simple-root coefficients of v, or None outside their span.
 
     Every simple root except the last one or two is e_k - e_{k+1}, so with
     partial sums s_k = v_1 + ... + v_k the coefficient of the k-th simple
     root is s_k, corrected at the end of the diagram: A_n needs
     s_{n+1} = 0, C_n halves c_n, and D_n has c_n = s_n / 2 and
-    c_{n-1} = s_n / 2 - v_n.
+    c_{n-1} = s_n / 2 - v_n.  Halving a half-integer leaves quarters, hence
+    the factor four on the doubled coordinates.
     """
-    sums = list(itertools.accumulate(v.coords))
+    sums = [2 * s for s in itertools.accumulate(v.num)]
     n = rs.rank
     if rs.family == "A":
         return sums[:n] if sums[n] == 0 else None
-    if rs.family == "C":
-        sums[n - 1] /= 2
-    elif rs.family == "D":
-        sums[n - 1] /= 2
-        sums[n - 2] = sums[n - 1] - v.coords[n - 1]
+    if rs.family in ("C", "D"):
+        sums[n - 1] //= 2
+    if rs.family == "D":
+        sums[n - 2] = sums[n - 1] - 2 * v.num[n - 1]
     return sums
 
 
 # A root alpha = a e_i + b e_j as the integer tuple (i, j, a, b, c, d), where
 # alpha^vee = 2 alpha / (alpha, alpha) = c e_i + d e_j; a root with a single
-# nonzero coordinate has j = i and b = d = 0.  On the numerators v of any
-# weight, v[i] c + v[j] d is den <v, alpha^vee>, an integer, and the
+# nonzero coordinate has j = i and b = d = 0.  On the doubled coordinates v
+# of any weight, v[i] c + v[j] d is 2 <v, alpha^vee>, an integer, and the
 # reflection in alpha is v - (v[i] c + v[j] d) alpha.
 IntRoot = tuple[int, int, int, int, int, int]
 
@@ -356,10 +335,10 @@ class Subsystem:
         coeffs = _simple_coefficients(self.rs, v)
         if coeffs is None or not _supported_in(coeffs, self.mask):
             return None
-        return tuple(coeffs[k - 1] for k in sorted(self.mask))
+        return tuple(Fraction(coeffs[k - 1], 4) for k in sorted(self.mask))
 
 
-def _supported_in(coeffs: Sequence[Fraction], mask: frozenset[int]) -> bool:
+def _supported_in(coeffs: Sequence[int], mask: frozenset[int]) -> bool:
     return all(k in mask for k, c in enumerate(coeffs, 1) if c)
 
 
@@ -396,7 +375,7 @@ def _dot(x: Sequence[int], y: Sequence[int]) -> int:
 
 
 def _pairings(roots: Sequence[IntRoot], v: Sequence[int]) -> list[int]:
-    """den <v, alpha^vee> for each root alpha, on the numerators v."""
+    """2 <v, alpha^vee> for each root alpha, on the doubled coordinates v."""
     return [v[i] * c + v[j] * d for i, j, _, _, c, d in roots]
 
 
@@ -442,12 +421,12 @@ def is_dominant(sub: Subsystem, lam: Weight) -> bool:
 
 def plain_dominantize(sub: Subsystem, v: Weight) -> Weight:
     """Unique dominant representative of v under the subsystem's Weyl group."""
-    return _make(_dominantize(sub.simple_int, _numerators(sub, v)), v.den)
+    return _make(_dominantize(sub.simple_int, _numerators(sub, v)))
 
 
 def weyl_orbit(sub: Subsystem, v: Weight) -> set[Weight]:
     """Full Weyl orbit of v under the subsystem's reflections."""
-    return {_make(u, v.den) for u in _orbit(sub.simple_int, _numerators(sub, v))}
+    return {_make(u) for u in _orbit(sub.simple_int, _numerators(sub, v))}
 
 
 def make_dominant_dot(
@@ -474,7 +453,7 @@ def _dot_action(sub: Subsystem, lam: Weight) -> tuple[int, Weight] | None:
         return None
     length = sum(p < 0 for p in pairings)
     dom = _dominantize(sub.simple_int, v)
-    return length, _make(tuple(map(operator.sub, dom, rho)), 2)
+    return length, _make(tuple(map(operator.sub, dom, rho)))
 
 
 def weyl_product(sub: Subsystem, lam: Weight) -> int:

@@ -243,10 +243,9 @@ def solve_coefficients(basis, target):
     for col, pr in enumerate(pivots):
         if pr >= 0:
             coeffs[col] = rows[pr][ncols]
-    acc = Weight(tuple(Fraction(0) for _ in range(dim)))
-    for c, b in zip(coeffs, basis):
-        acc = acc + b.scale(c)
-    if acc != target:
+    # checked on Fraction coordinates: the partial sums may be quarter-integral
+    acc = [sum(c * b.coords[i] for c, b in zip(coeffs, basis)) for i in range(dim)]
+    if tuple(acc) != target.coords:
         return None
     return tuple(coeffs)
 

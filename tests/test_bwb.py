@@ -13,10 +13,12 @@ from excol import (
     BundleObject,
     DominanceError,
     ExcolError,
+    LatticeError,
     ParseError,
     bundle_weight,
     canonical_bundle,
     cohomology,
+    dual_weight,
     format_graded,
     graded_hom,
     graded_hom_detail,
@@ -122,6 +124,20 @@ class TestCohomology:
     def test_rejects_non_dominant(self):
         with pytest.raises(DominanceError):
             cohomology(IGR, weight(0, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dual_weight(IGR.rs, None, weight("1/2", 0, 0)),
+        lambda: cohomology(IGR, weight(1, 0)),
+        lambda: BundleObject(IGR, weight(0, 0, 0)).tensor_line(weight(1, 0)),
+    ],
+    ids=["dual-half-in-C", "cohomology-two-coordinates", "line-two-coordinates"],
+)
+def test_weight_is_validated_before_use(call):
+    with pytest.raises(LatticeError):
+        call()
 
 
 class TestGradedHom:

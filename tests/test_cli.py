@@ -326,6 +326,22 @@ def _doc_with(**changes):
     return doc
 
 
+@pytest.mark.parametrize("command", ["verify", "gram"])
+@pytest.mark.parametrize(
+    "objects",
+    [[{"weight": ["1/3", 0]}], [{"terms": [{"weight": ["1/3", 0], "coeff": 1}]}]],
+    ids=["bundle", "kclass-term"],
+)
+def test_file_with_a_third_is_refused_with_one_error_line(
+    capsys, tmp_path, command, objects
+):
+    path = tmp_path / "third.json"
+    path.write_text(json.dumps(_doc_with(mode=None, objects=objects, labels=["x"])))
+    rc, out, err = run(capsys, command, "--file", str(path))
+    assert (rc, out) == (3, "")
+    assert err == "error: coordinates of (1/3, 0) have denominators beyond 2\n"
+
+
 class TestMalformedInput:
     """Malformed input ends in exit 2 with one error line, never a traceback."""
 

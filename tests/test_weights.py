@@ -1,15 +1,17 @@
-"""Weights held as integer numerators: semantics against Fraction coordinates.
+"""Weights held as doubled integer coordinates: semantics against Fractions.
 
-A Weight keeps integer numerators over one canonical denominator.  These
+A Weight keeps twice its coordinates, which are integers on (1/2)Z.  These
 tests pin what callers see: equal weights compare and hash equal however
-they were made, coordinates read back as Fractions, non-lattice rationals
-still work but validate_weight refuses them, sort_key orders weights as
-their coordinates do, and every arithmetic operation agrees with the same
-operation done coordinate by coordinate over the rationals.
+they were made, coordinates read back as Fractions, coordinates outside
+(1/2)Z are refused with one message however they arise, sort_key orders
+weights as their coordinates do, and every arithmetic operation agrees with
+the same operation done coordinate by coordinate over the rationals.
 """
 
 import copy
+import dataclasses
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,6 @@ from excol import (
     build_root_system,
     irrep_character,
     subsystem,
-    validate_weight,
     weight,
 )
 from excol.cli import main
@@ -28,14 +29,19 @@ from excol.cli import main
 from helpers import random_weight
 
 
-def test_equal_weights_compare_and_hash_equal_however_made():
+def _random_half_integers(rng, dim):
+    """Random coordinates in (1/2)Z, of mixed parity: not always lattice weights."""
+    return tuple(Fraction(rng.randint(-12, 12), 2) for _ in range(dim))
+
+
+def test_equal_weights_compare_and_hash_equal_however_made(rng):
     made = [
         weight(1, "1/2"),
         Weight((Fraction(1), Fraction(1, 2))),
         Weight((1, "1/2")),
         weight(3, 1) - weight(2, "1/2"),
         weight(2, 1).scale(Fraction(1, 2)) + weight(0, 0),
-        weight(4, 2).scale(Fraction(1, 4)) + weight(0, Fraction(1, 4)).scale(2) - weight(0, "1/2"),
+        weight(4, 2).scale(Fraction(1, 2)).scale(2) - weight(3, "3/2"),
         -weight(-1, "-1/2"),
     ]
     for w in made:
@@ -44,10 +50,19 @@ def test_equal_weights_compare_and_hash_equal_however_made():
     assert {made[0]: "x"}[made[-1]] == "x"
     assert weight(1, "1/2") != weight(1, "-1/2")
     assert weight(1, 0) != (1, 0)
+    for _ in range(300):
+        x = _random_half_integers(rng, rng.randint(1, 5))
+        made = [
+            Weight(x),
+            weight(*map(str, x)),
+            Weight(2 * c for c in x).scale(Fraction(1, 2)),
+            Weight(x) + Weight(x) - Weight(x),
+        ]
+        assert len(set(made)) == 1 and len({hash(w) for w in made}) == 1
 
 
 def test_coords_are_fractions():
-    for w in (weight(1, -2), weight("1/2", "-3/2"), Weight((Fraction(1, 4), 3))):
+    for w in (weight(1, -2), weight("1/2", "-3/2"), Weight((Fraction(3, 2), 3))):
         assert all(type(c) is Fraction for c in w.coords)
     assert weight(2, "1/2").coords == (Fraction(2), Fraction(1, 2))
     assert weight("4/2", 0).coords == (2, 0)
@@ -64,11 +79,18 @@ def test_weights_are_immutable():
     assert w == weight(1, 2)
 
 
-def test_weights_pickle_and_copy():
-    for w in (weight(1, -2), weight("1/2", "-3/2"), Weight((Fraction(1, 4), 3))):
+def test_weight_holds_doubled_coordinates_only():
+    assert [f.name for f in dataclasses.fields(Weight)] == ["num"]
+    assert weight(1, "-1/2", 0).num == (2, -1, 0)
+
+
+def test_weights_pickle_and_copy(rng):
+    weights = [weight(1, -2), weight("1/2", "-3/2")]
+    weights += [Weight(_random_half_integers(rng, rng.randint(1, 5))) for _ in range(50)]
+    for w in weights:
         for got in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
             assert got == w and hash(got) == hash(w)
-            assert (got.num, got.den, got.coords) == (w.num, w.den, w.coords)
+            assert (got.num, got.coords) == (w.num, w.coords)
     # so do the objects that hold weights, onto the interned root systems
     rs = build_root_system("B", 2)
     sub = subsystem(rs, [2])
@@ -78,19 +100,25 @@ def test_weights_pickle_and_copy():
     assert copy.copy(sub) is sub and copy.deepcopy(rs) is rs
 
 
-def test_quarter_integral_weight_constructs_and_validation_refuses_it():
-    quarter = Weight((Fraction(1, 4), Fraction(-3, 4), Fraction(0)))
-    assert quarter.coords == (Fraction(1, 4), Fraction(-3, 4), 0)
-    assert quarter == weight("1/2", "-3/2", 0).scale(Fraction(1, 2))
-    assert hash(quarter) == hash(weight("1/2", "-3/2", 0).scale(Fraction(1, 2)))
-    assert quarter + quarter == weight("1/2", "-3/2", 0)
-    assert str(quarter) == "(1/4, -3/4, 0)"
-    for family in "BCD":
-        with pytest.raises(
-            LatticeError,
-            match=r"^coordinates of \(1/4, -3/4, 0\) have denominators beyond 2$",
-        ):
-            validate_weight(build_root_system(family, 3), quarter)
+@pytest.mark.parametrize(
+    "make,shown",
+    [
+        (lambda: Weight((Fraction(1, 3), 0, 0)), "(1/3, 0, 0)"),
+        (lambda: weight("1/3", 0, 0), "(1/3, 0, 0)"),
+        (lambda: weight(1, 0, 0).scale(Fraction(1, 3)), "(1/3, 0, 0)"),
+        (lambda: Weight((Fraction(1, 4), "-3/4", 0)), "(1/4, -3/4, 0)"),
+        (lambda: weight("1/4", "-3/4", 0), "(1/4, -3/4, 0)"),
+        (lambda: weight(1, 0, 0).scale(Fraction(1, 4)), "(1/4, 0, 0)"),
+        # half of a half-integral weight has quarters
+        (lambda: weight("1/2", "-3/2", 0).scale(Fraction(1, 2)), "(1/4, -3/4, 0)"),
+    ],
+    ids=["Weight-third", "weight-third", "scale-third", "Weight-quarter",
+         "weight-quarter", "scale-quarter", "scale-half-of-half"],
+)
+def test_coordinates_outside_half_integers_are_refused(make, shown):
+    message = f"coordinates of {shown} have denominators beyond 2"
+    with pytest.raises(LatticeError, match="^" + re.escape(message) + "$"):
+        make()
 
 
 def test_cli_refuses_a_third_with_one_error_line(capsys):
@@ -106,28 +134,30 @@ def test_sort_key_orders_like_coords(family, rank, rng):
     half = family in ("B", "D")
     weights = [random_weight(rng, rs, 3, half and k % 2) for k in range(1000)]
     assert sorted(weights, key=lambda w: w.sort_key) == sorted(weights, key=lambda w: w.coords)
-    # non-lattice weights sort among them by the same key
-    weights += [w.scale(Fraction(1, 3)) for w in weights[:50]]
+    # (1/2)Z vectors of mixed parity sort among them by the same key
+    weights += [Weight(_random_half_integers(rng, rs.dim)) for _ in range(200)]
     assert sorted(weights, key=lambda w: w.sort_key) == sorted(weights, key=lambda w: w.coords)
-
-
-def _random_rational(rng):
-    return Fraction(rng.randint(-12, 12), rng.choice([1, 1, 2, 2, 3, 4]))
 
 
 def test_arithmetic_matches_fraction_coordinates(rng):
     for _ in range(500):
         dim = rng.randint(1, 5)
-        x = tuple(_random_rational(rng) for _ in range(dim))
-        y = tuple(_random_rational(rng) for _ in range(dim))
-        k = _random_rational(rng)
+        x = _random_half_integers(rng, dim)
+        y = _random_half_integers(rng, dim)
+        k = Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
         a, b = Weight(x), Weight(y)
-        for got, want in [
+        scaled = tuple(k * p for p in x)
+        cases = [
             (a + b, tuple(p + q for p, q in zip(x, y))),
             (a - b, tuple(p - q for p, q in zip(x, y))),
             (-a, tuple(-p for p in x)),
-            (a.scale(k), tuple(k * p for p in x)),
-        ]:
+        ]
+        if all(c.denominator <= 2 for c in scaled):
+            cases.append((a.scale(k), scaled))
+        else:
+            with pytest.raises(LatticeError, match="have denominators beyond 2$"):
+                a.scale(k)
+        for got, want in cases:
             # equal to a fresh construction, so the stored form is canonical
             assert got.coords == want
             assert got == Weight(want) and hash(got) == hash(Weight(want))
