@@ -523,8 +523,11 @@ def _load_object(space: ParabolicSpace, item: dict) -> "BundleObject | KClass":
         terms: dict[Weight, int] = {}
         for t in item["terms"]:
             w = _weight_parse(t["weight"])
-            validate_weight(space.rs, w)
             terms[w] = terms.get(w, 0) + _int_field(t["coeff"], "coeff")
+        # KClass validates the terms it keeps; from_dict drops cancelled ones
+        for w, c in terms.items():
+            if not c:
+                validate_weight(space.rs, w)
         return KClass.from_dict(space, terms)
     w = _weight_parse(item["weight"])
     if _int_field(item.get("mult", 1), "mult") != 1:

@@ -5,8 +5,11 @@ class of an irreducible bundle is its Levi character, signed by the parity
 of the shift.  The Euler pairing is computed either from graded Hom spaces
 or K-theoretically from line-bundle Euler characteristics; the two routes
 are kept separate so they can cross-check each other.  A line-bundle Euler
-characteristic is Weyl's polynomial, a closed form with no memo; a Gram
-matrix evaluates it once per weight difference, in a table of that call.
+characteristic is Weyl's polynomial, a closed form with no memo.  Every
+chi pairing (Gram matrix, euler_pairing, mutate_pair_k) runs on one table
+per call: each line weight of the call's classes packed into one int, so a
+term pair costs one subtraction and one lookup, and each distinct weight
+difference is evaluated once.
 
 The thread verdict follows from triangularity and the period bound: once
 the Gram matrix is unit upper-triangular, the helix sweep closes at every
@@ -15,11 +18,12 @@ position (see thread_check), so only those preconditions are computed.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .roots import ExcolError, RootSystem, Weight, subsystem, validate_weight, weyl_product
+from .roots import (
+    ExcolError, RootSystem, Weight, _make, subsystem, validate_weight, weyl_product,
+)
 from .characters import irrep_character
 from .bwb import BundleObject, ParabolicSpace, graded_hom
 
@@ -103,19 +107,42 @@ def _as_kclass(obj: "BundleObject | KClass") -> KClass:
     return kclass_of(obj) if isinstance(obj, BundleObject) else obj
 
 
-def _chi_k(x: KClass, y: KClass, table: dict) -> int:
-    """chi(x, y) as a sum of chi(L_{b-a}); table holds each b - a evaluated."""
-    if x.space != y.space:
-        raise ExcolError("Euler pairing needs both classes on the same space")
-    total = 0
-    for a, ca in x.terms:
-        for b, cb in y.terms:
-            d = tuple(map(operator.sub, b.num, a.num))
-            chi = table.get(d)
-            if chi is None:
-                chi = table[d] = weyl_product(subsystem(x.space.rs), b - a)
-            total += ca * cb * chi
-    return total
+class _ChiTable(dict):
+    """chi(L_d) for the line-weight differences d of one call's classes.
+
+    Each distinct weight's doubled coordinates are packed as the digits of
+    one int in base 2s + 1, s the largest coordinate range over the weights.
+    Every digit of a difference lies in [-s, s], so key(b) - key(a) names
+    b - a exactly; a missing key is unpacked and evaluated once.  classes
+    holds each class as (key, coeff) pairs.
+    """
+
+    def __init__(self, classes: Sequence[KClass]) -> None:
+        super().__init__()
+        if any(k.space != classes[0].space for k in classes):
+            raise ExcolError("Euler pairing needs both classes on the same space")
+        nums = {w.num for k in classes for w, _ in k.terms}
+        self.spread = max((max(c) - min(c) for c in zip(*nums)), default=0)
+        self.base = 2 * self.spread + 1
+        keys = {n: sum(x * self.base**i for i, x in enumerate(n)) for n in nums}
+        self.classes = [[(keys[w.num], c) for w, c in k.terms] for k in classes]
+        self.sub = subsystem(classes[0].space.rs) if classes else None
+
+    def __missing__(self, d: int) -> int:
+        rest, digits = d, []
+        for _ in range(self.sub.rs.dim):
+            rest, x = divmod(rest + self.spread, self.base)
+            digits.append(x - self.spread)
+        chi = self[d] = weyl_product(self.sub, _make(tuple(digits)))
+        return chi
+
+    def pair(self, x: list[tuple[int, int]], y: list[tuple[int, int]]) -> int:
+        """chi(x, y) as the sum of c_a c_b chi(L_{b-a}) over the term pairs."""
+        total = 0
+        for ka, ca in x:
+            for kb, cb in y:
+                total += ca * cb * self[kb - ka]
+        return total
 
 
 def euler_pairing(
@@ -128,7 +155,8 @@ def euler_pairing(
     the alternating sum (bundle inputs only).
     """
     if method == "chi":
-        return _chi_k(_as_kclass(x), _as_kclass(y), {})
+        table = _ChiTable([_as_kclass(x), _as_kclass(y)])
+        return table.pair(*table.classes)
     if method == "ext":
         if not (isinstance(x, BundleObject) and isinstance(y, BundleObject)):
             raise ExcolError("method='ext' needs actual bundles, not K-classes")
@@ -143,8 +171,8 @@ def gram_matrix(
     """Matrix of Euler pairings G[i][j] = chi(E_i, E_j)."""
     if method != "chi":
         return [[euler_pairing(x, y, method=method) for y in objects] for x in objects]
-    classes, table = [_as_kclass(o) for o in objects], {}
-    return [[_chi_k(x, y, table) for y in classes] for x in classes]
+    table = _ChiTable([_as_kclass(o) for o in objects])
+    return [[table.pair(x, y) for y in table.classes] for x in table.classes]
 
 
 def _bareiss(
@@ -215,7 +243,8 @@ def mutate_pair_k(
     """
     if left.terms == right.terms:
         raise ExcolError("refusing to mutate a pair with identical classes")
-    chi = _chi_k(left, right, {})
+    table = _ChiTable([left, right])
+    chi = table.pair(*table.classes)
     if side == "left":
         return left.scale(chi).sub(right), left
     if side == "right":

@@ -314,7 +314,8 @@ class Subsystem:
     """The root subsystem spanned by a subset of simple roots (a Levi).
 
     simple_int and positive_int repeat the simple and positive roots as
-    IntRoot tuples, so pairings and reflections are integer operations.
+    IntRoot tuples, so pairings and reflections are integer operations;
+    weyl_denominator is prod 2 <rho, a^vee> over the positive roots.
     Only _subsystem_cached constructs one, and it memoises on the interned
     root system and the mask, so equality and hashing are by identity.
     """
@@ -326,6 +327,7 @@ class Subsystem:
     rho: Weight
     simple_int: tuple[IntRoot, ...]
     positive_int: tuple[IntRoot, ...]
+    weyl_denominator: int
 
     def __reduce__(self):
         return _subsystem_cached, (self.rs, self.mask)
@@ -349,9 +351,10 @@ def _subsystem_cached(rs: RootSystem, mask: frozenset[int]) -> Subsystem:
         a for a in rs.positive_roots
         if _supported_in(_simple_coefficients(rs, a), mask)
     )
+    rho, positive_int = _half_sum(positives, rs.dim), tuple(map(_int_root, positives))
     return Subsystem(
-        rs, mask, simples, positives, _half_sum(positives, rs.dim),
-        tuple(map(_int_root, simples)), tuple(map(_int_root, positives)),
+        rs, mask, simples, positives, rho, tuple(map(_int_root, simples)),
+        positive_int, math.prod(_pairings(positive_int, rho.num)),
     )
 
 
@@ -463,9 +466,8 @@ def weyl_product(sub: Subsystem, lam: Weight) -> int:
     Borel-Weil-Bott, chi(L_lam) on the full flag: 0 when lam + rho is
     singular, else signed by (-1)^length.  Doubled coordinates cancel.
     """
-    rho = sub.rho.num
-    num = math.prod(_pairings(sub.positive_int, _add(lam.num, rho)))
-    val, rest = divmod(num, math.prod(_pairings(sub.positive_int, rho)))
+    num = math.prod(_pairings(sub.positive_int, _add(lam.num, sub.rho.num)))
+    val, rest = divmod(num, sub.weyl_denominator)
     assert rest == 0, "Weyl's polynomial must be an integer on lattice weights"
     return val
 
@@ -489,11 +491,8 @@ def parabolic_cell_count(rs: RootSystem, levi_mask: Iterable[int]) -> int:
     """
     sub = subsystem(rs, _validate_mask(rs, levi_mask))
     # each pairing is twice the height of the coroot
-    num = den = 1
-    for p in _pairings(sub.positive_int, sub.rho.num):
-        num *= p + 2
-        den *= p
-    order, rest = divmod(num, den)
+    num = math.prod(p + 2 for p in _pairings(sub.positive_int, sub.rho.num))
+    order, rest = divmod(num, sub.weyl_denominator)
     assert rest == 0, "Macdonald's product must be an integer"
     total = weyl_order(rs)
     assert total % order == 0, "Levi order must divide the Weyl order"

@@ -6,9 +6,11 @@ oracles at the end are the searches and eliminations the library replaced
 with closed forms, and the Fraction arithmetic it replaced with integers.
 """
 
+import operator
 from fractions import Fraction
 
 from excol import (
+    ExcolError,
     Weight,
     bundle_weight,
     irrep_character,
@@ -19,6 +21,7 @@ from excol import (
     weyl_order,
 )
 from excol.homcalc import _solve_unimodular
+from excol.roots import weyl_product
 
 
 def random_weight(rng, rs, span=4, half=False):
@@ -187,6 +190,27 @@ def dot_action_chi_line(rs, nu):
     length, dom = hit
     d = fraction_weyl_dim(rs, None, dom)
     return -d if length % 2 else d
+
+
+def termwise_gram(classes):
+    """Gram matrix of K-classes by the loop the packed-key kernel replaced:
+    per term pair, the difference b - a as a tuple of doubled coordinates,
+    hashed into a table of chi(L_{b-a})."""
+    if any(k.space != classes[0].space for k in classes):
+        raise ExcolError("Euler pairing needs both classes on the same space")
+    table = {}
+
+    def chi(x, y):
+        total = 0
+        for a, ca in x.terms:
+            for b, cb in y.terms:
+                d = tuple(map(operator.sub, b.num, a.num))
+                if d not in table:
+                    table[d] = weyl_product(subsystem(x.space.rs), b - a)
+                total += ca * cb * table[d]
+        return total
+
+    return [[chi(x, y) for y in classes] for x in classes]
 
 
 def fraction_inverse(mat):

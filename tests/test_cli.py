@@ -342,6 +342,18 @@ def test_file_with_a_third_is_refused_with_one_error_line(
     assert err == "error: coordinates of (1/3, 0) have denominators beyond 2\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "gram"])
+def test_cancelled_invalid_term_is_still_refused(capsys, tmp_path, command):
+    # the two terms cancel, so the K-class built from them never sees the weight
+    terms = [{"weight": ["1/2", "1/2"], "coeff": c} for c in (1, -1)]
+    objects = [{"terms": [{"weight": [0, 0], "coeff": 1}, *terms]}]
+    path = tmp_path / "cancelled.json"
+    path.write_text(json.dumps(_doc_with(mode=None, objects=objects, labels=["x"])))
+    rc, out, err = run(capsys, command, "--file", str(path))
+    assert (rc, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestMalformedInput:
     """Malformed input ends in exit 2 with one error line, never a traceback."""
 

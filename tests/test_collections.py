@@ -31,6 +31,8 @@ from excol import (
     verify,
     weight,
 )
+from excol import collections as collections_module
+from excol import homcalc, roots
 from excol.collections import _check_diag_exact, _check_pair_exact
 
 IGR = parabolic_space("C", 3, [2])
@@ -467,6 +469,19 @@ class TestSerialization:
         loaded = load_collection(doc)
         assert loaded.objects == coll.objects
         assert loaded.labels == coll.labels
+
+    def test_kclass_terms_are_validated_once(self, monkeypatch):
+        doc = dump_collection(build_orthogonal_flag(2))
+        calls = []
+
+        def counting_validate_weight(rs, lam):
+            calls.append(lam)
+            return roots.validate_weight(rs, lam)
+
+        for module in (collections_module, homcalc):
+            monkeypatch.setattr(module, "validate_weight", counting_validate_weight)
+        load_collection(doc)
+        assert len(calls) == sum(len(o["terms"]) for o in doc["objects"]) == 10
 
     def test_shifted_bundles_round_trip(self):
         o = BundleObject(IGR, weight(0, 0, 0), shift=-1)

@@ -5,6 +5,7 @@ routes are compared on random inputs, and the helix sweep is exercised on
 real collections plus controls engineered to fail each precondition.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from excol import (
     LatticeError,
     build_beilinson,
     build_igr26,
+    build_orthogonal_flag,
     build_quadric,
     build_root_system,
     build_symplectic_flag,
@@ -28,10 +30,11 @@ from excol import (
     mutate_pair_k,
     parabolic_space,
     serre_operator,
+    subsystem,
     thread_check,
     weight,
 )
-from excol import homcalc
+from excol import homcalc, roots
 from excol.homcalc import _det_exact
 
 from helpers import random_levi_dominant
@@ -149,6 +152,66 @@ def test_gram_matrix_keeps_its_route(monkeypatch):
     calls.clear()
     assert gram_matrix(list(coll.objects)) == ext
     assert calls == []
+
+
+class TestKernelContract:
+    def test_empty_gram(self):
+        assert gram_matrix([]) == []
+
+    def test_classes_on_two_spaces_are_refused_by_every_caller(self):
+        a = KClass.from_dict(P1, {weight(0, 0): 1})
+        b = KClass.from_dict(IGR, {weight(0, 0, 0): 1})
+        message = "^Euler pairing needs both classes on the same space$"
+        for call in [
+            lambda: gram_matrix([a, b]),
+            lambda: gram_matrix([b, BundleObject(P1, weight(0, 0))]),
+            lambda: euler_pairing(a, b),
+            lambda: euler_pairing(b, a, method="chi"),
+            lambda: mutate_pair_k(a, b, "left"),
+            lambda: mutate_pair_k(b, a, "right"),
+        ]:
+            with pytest.raises(ExcolError, match=message):
+                call()
+
+    @pytest.mark.parametrize(
+        "build,evaluations",
+        [
+            (lambda: build_orthogonal_flag(3), 601),
+            (lambda: build_symplectic_flag(3), 231),
+            (lambda: build_beilinson(6), 13),
+        ],
+        ids=["orthogonal:3", "symplectic:3", "beilinson:6"],
+    )
+    def test_one_evaluation_per_distinct_difference(self, monkeypatch, build, evaluations):
+        objects = list(build().objects)
+        nums = [[w.num for w, _ in homcalc._as_kclass(o).terms] for o in objects]
+        differences = {
+            tuple(p - q for p, q in zip(b, a))
+            for x in nums for y in nums for a in x for b in y
+        }
+        assert len(differences) == evaluations
+        calls = []
+
+        def counting_weyl_product(sub, lam):
+            calls.append(lam)
+            return roots.weyl_product(sub, lam)
+
+        monkeypatch.setattr(homcalc, "weyl_product", counting_weyl_product)
+        gram_matrix(objects)
+        assert sorted(lam.num for lam in calls) == sorted(differences)
+
+    def test_weyl_denominator_is_stored_once_per_subsystem(self, monkeypatch):
+        for family, rank, mask in [("A", 1, None), ("B", 3, None), ("C", 3, [2]), ("D", 4, [])]:
+            sub = subsystem(build_root_system(family, rank), mask)
+            pairings = roots._pairings(sub.positive_int, sub.rho.num)
+            assert sub.weyl_denominator == math.prod(pairings)
+        original, calls = roots._pairings, []
+        monkeypatch.setattr(
+            roots, "_pairings", lambda rts, v: calls.append(v) or original(rts, v)
+        )
+        rs = build_root_system("B", 3)
+        values = [chi_line(rs, weight(k, 0, -k)) for k in range(5)]
+        assert len(calls) == len(values), "one pairing pass per evaluation"
 
 
 def test_gram_beilinson_plane():

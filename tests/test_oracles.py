@@ -4,8 +4,9 @@ Each test runs a formula the library uses (Brauer-Klimyk tensor products,
 Macdonald's product for Levi Weyl groups, fraction-free integer linear
 algebra, the fixed spinor constant, the thread verdict read off its
 preconditions, simple-root coefficients as partial sums, the Weyl group,
-Weyl dimension and Freudenthal on integer numerators) against the slower
-search or Fraction arithmetic kept in helpers.py, on seeded inputs.
+Weyl dimension and Freudenthal on integer numerators, the Euler pairing on
+packed weight keys) against the slower search, Fraction arithmetic or
+tuple arithmetic kept in helpers.py, on seeded inputs.
 """
 
 import itertools
@@ -14,11 +15,15 @@ from fractions import Fraction
 import pytest
 
 from excol import (
+    KClass,
     Weight,
     build_root_system,
+    euler_pairing,
+    gram_matrix,
     irrep_character,
     is_dominant,
     make_dominant_dot,
+    mutate_pair_k,
     parabolic_cell_count,
     parabolic_space,
     plain_dominantize,
@@ -50,6 +55,7 @@ from helpers import (
     random_weight,
     solve_coefficients,
     spinor_constant_search,
+    termwise_gram,
     thread_sweep,
 )
 
@@ -400,3 +406,70 @@ def test_chi_line_matches_dot_action_oracle(family, rank, rng):
         values.append(expected)
     assert 0 in values, "singular weights are drawn"
     assert min(values) < 0 < max(values), "both signs of chi are drawn"
+
+
+KERNEL_SYSTEMS = (
+    [("A", r) for r in range(1, 5)]
+    + [(f, r) for f in "BC" for r in range(2, 5)]
+    + [("D", 3), ("D", 4)]
+)
+
+
+def _random_kclass(rng, space, span):
+    half = space.rs.family in "BD"
+    terms = {}
+    for _ in range(rng.randint(1, 12)):
+        w = random_weight(rng, space.rs, span, half and rng.random() < 0.5)
+        terms[w] = terms.get(w, 0) + rng.choice([-3, -2, -1, 1, 2, 3])
+    return KClass.from_dict(space, terms)
+
+
+@pytest.mark.parametrize("family,rank", KERNEL_SYSTEMS)
+def test_packed_euler_pairing_matches_termwise_oracle(family, rank, rng):
+    space = parabolic_space(family, rank, [1])
+    classes = [_random_kclass(rng, space, rng.randint(1, 9)) for _ in range(7)]
+    # a coefficient that cancels to zero in a sum of classes
+    (w0, c0), extra = classes[0].terms[0], random_weight(rng, space.rs, 9)
+    cancelled = classes[0].add(KClass.from_dict(space, {w0: -c0, extra: 1}))
+    assert w0 not in cancelled.as_dict()
+    classes.append(cancelled)
+    assert any(min(w.num) < 0 for k in classes for w, _ in k.terms)
+
+    expected = termwise_gram(classes)
+    assert gram_matrix(classes) == expected
+    for x, row in zip(classes, expected):
+        for y, chi in zip(classes, row):
+            assert euler_pairing(x, y, method="chi") == chi
+            if x.terms != y.terms:
+                assert mutate_pair_k(x, y, "left") == (x.scale(chi).sub(y), x)
+                assert mutate_pair_k(x, y, "right") == (y, y.scale(chi).sub(x))
+
+
+def _weight_of(num):
+    return Weight(Fraction(x, 2) for x in num)
+
+
+def test_packed_keys_separate_differences_that_collide_in_a_smaller_base():
+    space = parabolic_space("B", 2, [1])
+    lines = [
+        KClass.from_dict(space, {_weight_of(num): 1})
+        for num in [(-1, -1), (-1, 1), (0, -2), (3, 1)]
+    ]
+    nums = [k.terms[0][0].num for k in lines]
+    spread = max(max(c) - min(c) for c in zip(*nums))
+    diffs = {tuple(x - y for x, y in zip(b, a)) for a in nums for b in nums}
+
+    def clashing_chis(base, order):
+        keyed = {}
+        for d in diffs:
+            key = sum(x * base**i for i, x in enumerate(d[::order]))
+            keyed.setdefault(key, set()).add(chi_line(space.rs, _weight_of(d)))
+        return [chis for chis in keyed.values() if len(chis) > 1]
+
+    # digits in [-s, s] are ambiguous in base s + 1: whichever coordinate is
+    # the low digit, two differences with different chi share a key there
+    assert clashing_chis(spread + 1, 1) and clashing_chis(spread + 1, -1)
+    assert not clashing_chis(2 * spread + 1, 1)
+    assert gram_matrix(lines) == termwise_gram(lines) == [
+        [chi_line(space.rs, _weight_of(b) - _weight_of(a)) for b in nums] for a in nums
+    ]
