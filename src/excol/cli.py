@@ -266,7 +266,8 @@ def _cmd_verify(args) -> int:
     coll = _get_collection(args)
     report = verify(coll, mode=args.mode, jobs=args.jobs)
     if args.json:
-        print(json.dumps(report.to_json_dict()))
+        sys.stdout.writelines(report.json_chunks())
+        sys.stdout.write("\n")
     else:
         print(report.render_text())
     return 0 if report.passed else 1

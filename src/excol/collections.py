@@ -5,22 +5,30 @@ desk-checkable necessary condition: exceptionality of each object,
 vanishing of all backward graded Homs (or backward Euler pairings in
 chi_only mode), length against the Schubert cell count, unimodularity of
 the Gram matrix, and the helix thread criterion.  chi_only mode reads its
-triangle off the Gram matrix, and the thread verdict follows from the
-Gram's triangularity and the period bound.  The report never claims
+triangle off the Gram matrix, and so does exact mode for each pair of line
+bundles; the thread verdict follows from the Gram's triangularity and the
+period bound.  The report keeps only the failing entries, and never claims
 completeness, only that every necessary condition passed.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
-import operator
+import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .roots import ExcolError, ParseError, Weight, validate_weight
+from .roots import (
+    MAX_ORTHOGONAL_RANK,
+    MAX_SYMPLECTIC_RANK,
+    ExcolError,
+    ParseError,
+    Weight,
+    validate_weight,
+)
 from .characters import tensor_decompose, weyl_dim
 from .bwb import (
     BundleObject,
@@ -120,6 +128,8 @@ def build_symplectic_flag(n: int) -> CollectionSpec:
     """
     if n < 1:
         raise ExcolError("symplectic flags need n >= 1")
+    if n > MAX_SYMPLECTIC_RANK:  # 2^n n! objects
+        raise ExcolError(f"symplectic:{n} exceeds the limit n = {MAX_SYMPLECTIC_RANK}")
     space = parabolic_space("C", n, range(1, n + 1))
     ranges = [list(range(-2 * n + 2 * k + 1, 1)) for k in range(n)]
     objects = []
@@ -161,6 +171,8 @@ def build_orthogonal_flag(n: int) -> CollectionSpec:
     """
     if n < 2:
         raise ExcolError("orthogonal flags need n >= 2")
+    if n > MAX_ORTHOGONAL_RANK:  # 2^n n! objects
+        raise ExcolError(f"orthogonal:{n} exceeds the limit n = {MAX_ORTHOGONAL_RANK}")
     space = parabolic_space("B", n, range(1, n + 1))
     menus = [_orthogonal_level_choices(n, m) for m in range(n)]
     objects = []
@@ -256,12 +268,53 @@ class PairResult:
     ordering_fixable: bool = False
 
 
+def _entry_json(r: PairResult) -> dict:
+    if r.row == r.col:
+        return {"index": r.row, "ok": r.ok, "evidence": r.evidence}
+    return {"from": r.row, "to": r.col, "ok": r.ok, "evidence": r.evidence,
+            "ordering_fixable": r.ordering_fixable}
+
+
+class _Results(Sequence):
+    """A report's PairResults in verify's order: (i, i), or (j, i) with j > i
+    and column i slowest.  Only failures are stored, keyed by (row, col), and
+    None entries are dropped; a passing entry is built on demand."""
+
+    def __init__(self, n: int, diagonal: bool, failures: Iterable, evidence: str) -> None:
+        self.n, self.diagonal, self.evidence = n, diagonal, evidence
+        self.failures = {(r.row, r.col): r for r in failures if r is not None}
+
+    def __len__(self) -> int:
+        return self.n if self.diagonal else self.n * (self.n - 1) // 2
+
+    def _at(self, row: int, col: int) -> PairResult:
+        return self.failures.get((row, col)) or PairResult(row, col, True, self.evidence)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(len(self))[k]))
+        k, n = range(len(self))[k], self.n  # a negative k counts from the end
+        if self.diagonal:
+            return self._at(k, k)
+        first = lambda c: c * (2 * n - c - 1) // 2  # the position of (c + 1, c)
+        col = bisect.bisect_right(range(n), k, key=first) - 1
+        return self._at(col + 1 + k - first(col), col)
+
+    def __iter__(self) -> Iterator[PairResult]:
+        n = self.n
+        if self.diagonal:
+            return (self._at(i, i) for i in range(n))
+        return (self._at(j, i) for i in range(n) for j in range(i + 1, n))
+
+
 @dataclass(frozen=True)
 class VerificationReport:
+    """What verify found; exceptional and semiorthogonal store the failures."""
+
     collection: CollectionSpec
     mode: str
-    exceptional: tuple[PairResult, ...]
-    semiorthogonal: tuple[PairResult, ...]
+    exceptional: _Results
+    semiorthogonal: _Results
     length: int
     cells: int
     gram: tuple[tuple[int, ...], ...]
@@ -281,8 +334,8 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return (
-            all(r.ok for r in self.exceptional)
-            and all(r.ok for r in self.semiorthogonal)
+            not self.exceptional.failures
+            and not self.semiorthogonal.failures
             and self.length_ok
             and self.det_ok
             and self.thread_ok is not False
@@ -293,8 +346,7 @@ class VerificationReport:
         return "complete-candidate" if self.passed else "failed"
 
     def summary_line(self) -> str:
-        exc_ok = sum(1 for r in self.exceptional if r.ok)
-        semi_ok = sum(1 for r in self.semiorthogonal if r.ok)
+        exc, semi = self.exceptional, self.semiorthogonal
         if self.thread_ok is None:
             thread = "skipped"
         else:
@@ -305,8 +357,8 @@ class VerificationReport:
             else f"length={self.length}!=cells={self.cells}"
         )
         return (
-            f"{exc_ok}/{len(self.exceptional)} exceptional, "
-            f"{semi_ok}/{len(self.semiorthogonal)} semiorthogonal, "
+            f"{len(exc) - len(exc.failures)}/{len(exc)} exceptional, "
+            f"{len(semi) - len(semi.failures)}/{len(semi)} semiorthogonal, "
             f"{length}, det={self.det}, thread={thread}"
         )
 
@@ -316,16 +368,14 @@ class VerificationReport:
             f"({self.mode} mode)",
         ]
         labels = self.collection.labels
-        for r in self.exceptional:
-            if not r.ok:
-                lines.append(f"FAIL object {labels[r.row]}: End = {r.evidence}")
-        for r in self.semiorthogonal:
-            if not r.ok:
-                tag = " [ordering-fixable]" if r.ordering_fixable else ""
-                lines.append(
-                    f"FAIL pair ({labels[r.col]}, {labels[r.row]}): "
-                    f"backward Hom({labels[r.row]}, {labels[r.col]}) = {r.evidence}{tag}"
-                )
+        for r in self.exceptional.failures.values():
+            lines.append(f"FAIL object {labels[r.row]}: End = {r.evidence}")
+        for r in self.semiorthogonal.failures.values():
+            tag = " [ordering-fixable]" if r.ordering_fixable else ""
+            lines.append(
+                f"FAIL pair ({labels[r.col]}, {labels[r.row]}): "
+                f"backward Hom({labels[r.row]}, {labels[r.col]}) = {r.evidence}{tag}"
+            )
         if not self.length_ok:
             lines.append(f"FAIL length {self.length} != cell count {self.cells}")
         if not self.det_ok:
@@ -337,59 +387,68 @@ class VerificationReport:
         lines.append(f"wall time: {self.wall_time:.2f}s")
         return "\n".join(lines)
 
-    def to_json_dict(self) -> dict:
+    def _json_fields(self) -> dict:
+        """to_json_dict, with None in place of its three lists."""
+        space = self.collection.space
         return {
-            "provenance": self.collection.provenance,
-            "space": _space_json(self.collection.space),
-            "mode": self.mode,
-            "exceptional": [
-                {"index": r.row, "ok": r.ok, "evidence": r.evidence}
-                for r in self.exceptional
-            ],
-            "semiorthogonal": [
-                {
-                    "from": r.row,
-                    "to": r.col,
-                    "ok": r.ok,
-                    "evidence": r.evidence,
-                    "ordering_fixable": r.ordering_fixable,
-                }
-                for r in self.semiorthogonal
-            ],
-            "length": self.length,
-            "cells": self.cells,
-            "gram": [list(row) for row in self.gram],
-            "det": self.det,
-            "thread": self.thread_ok,
-            "thread_trace": list(self.thread_trace),
-            "summary": self.summary_line(),
-            "verdict": self.verdict,
+            "provenance": self.collection.provenance, "space": _space_json(space),
+            "mode": self.mode, "exceptional": None, "semiorthogonal": None,
+            "length": self.length, "cells": self.cells, "gram": None, "det": self.det,
+            "thread": self.thread_ok, "thread_trace": list(self.thread_trace),
+            "summary": self.summary_line(), "verdict": self.verdict,
             "wall_time": self.wall_time,
         }
 
+    def to_json_dict(self) -> dict:
+        return {
+            **self._json_fields(),
+            "exceptional": list(map(_entry_json, self.exceptional)),
+            "semiorthogonal": list(map(_entry_json, self.semiorthogonal)),
+            "gram": [list(row) for row in self.gram],
+        }
 
-def _line_hom(table: dict, src: BundleObject, dst: BundleObject) -> dict[int, int]:
-    """graded_hom for line bundles, Hom(L_a, L_b) = H*(L_{b-a}) shifted; table
-    keeps the cohomology of each weight difference b - a computed so far."""
-    key = tuple(map(operator.sub, dst.hw.num, src.hw.num))
-    if key not in table:
-        table[key] = cohomology(src.space, dst.hw - src.hw)
-    return {k + src.shift - dst.shift: d for k, d in table[key].dims().items()}
+    def json_chunks(self) -> Iterator[str]:
+        """json.dumps(self.to_json_dict()) in pieces of about one Gram row.
+
+        A passing entry is printed from a template, so none is ever built.
+        """
+        n, dumps = self.length, json.dumps
+        failed = {
+            cell: dumps(_entry_json(r))
+            for view in (self.exceptional, self.semiorthogonal)
+            for cell, r in view.failures.items()
+        }
+        evidence = dumps(self.exceptional.evidence)
+        diag = '{"index": %d, "ok": true, "evidence": ' + evidence + "}"
+        pair = (
+            '{"from": %d, "to": %d, "ok": true, "evidence": "0", '
+            '"ordering_fixable": false}'
+        )
+        # each list as chunks of entries; every chunk is nonempty
+        lists = {
+            "exceptional": [[failed.get((i, i)) or diag % i for i in range(n)]],
+            "semiorthogonal": (
+                [failed.get((j, i)) or pair % (j, i) for j in range(i + 1, n)]
+                for i in range(n - 1)
+            ),
+            "gram": ([dumps(row)] for row in self.gram),
+        }
+        for k, (key, value) in enumerate(self._json_fields().items()):
+            yield ("{" if k == 0 else ", ") + dumps(key) + ": "
+            if key not in lists:
+                yield dumps(value)
+                continue
+            yield "["
+            for m, chunk in enumerate(lists[key]):
+                yield (", " if m else "") + ", ".join(chunk)
+            yield "]"
+        yield "}"
 
 
-def _check_diag_exact(obj: BundleObject, hom=graded_hom) -> tuple[bool, str]:
-    dims = hom(obj, obj)
-    return dims == {0: 1}, format_graded(dims)
-
-
-def _check_pair_exact(
-    src: BundleObject, dst: BundleObject, hom=graded_hom
-) -> tuple[bool, str, bool]:
-    dims = hom(src, dst)
-    if not dims:
-        return True, "0", False
-    forward = hom(dst, src)
-    return False, format_graded(dims), not forward
+def _line_evidence(src: BundleObject, dst: BundleObject) -> str:
+    """Hom*(src, dst) of two line bundles: H*(L_{b-a}), moved by the shifts."""
+    dims = cohomology(src.space, dst.hw - src.hw).dims()
+    return format_graded({k + src.shift - dst.shift: d for k, d in dims.items()})
 
 
 def verify(
@@ -397,55 +456,62 @@ def verify(
 ) -> VerificationReport:
     """Run the full battery of necessary conditions on an ordered collection.
 
-    exact mode computes graded Hom spaces for the diagonal and all backward
-    pairs (bundle collections only); chi_only checks the same triangle at the
-    level of Euler pairings, reading it off the Gram matrix.  Both modes
-    compare length with the Schubert cell count and test Gram unimodularity;
-    exact mode also runs the helix thread criterion.  Checks run serially:
-    jobs is accepted for compatibility and ignored.
+    exact mode checks graded Hom spaces for the diagonal and all backward
+    pairs (bundle collections only); chi_only checks the same triangle at
+    the level of Euler pairings.  Both modes compare length with the
+    Schubert cell count and test Gram unimodularity; exact mode also runs
+    the helix thread criterion.  Checks run serially: jobs is accepted for
+    compatibility and ignored.
+
+    chi_only reads every entry off the Gram matrix, and exact mode reads
+    there every entry between line bundles; it runs graded_hom on any pair
+    with a bundle of higher rank.  Proof for lines: Hom^k(L_a[s], L_b[t]) =
+    H^{k+s-t}(L_{b-a}), and by Borel-Weil-Bott (Bott 1957) H*(L_v), the same
+    on G/P as on G/B, is zero or sits in one degree l with dimension
+    |chi(L_v)|.  So Hom*(E_j, E_i) vanishes exactly when gram[j][i] does,
+    the forward Hom of ordering_fixable when gram[i][j] does, and End*(L) =
+    H*(O) = k in degree 0.  cohomology runs only to print the evidence of a
+    failing line pair.
     """
     start = time.perf_counter()
     if mode not in ("exact", "chi_only"):
         raise ExcolError(f"unknown verification mode {mode!r}")
     objs = collection.objects
-    if mode == "exact" and collection.mode != "bundles":
+    exact = mode == "exact"
+    if exact and collection.mode != "bundles":
         raise ExcolError(
             "exact verification needs irreducible bundle objects; "
             "use chi_only for K-class collections"
         )
     n = len(objs)
     gram = gram_matrix(objs)
-    backward = [(j, i) for i in range(n) for j in range(i + 1, n)]
+    # the objects whose Homs are not read off the Gram
+    higher_rank = {k for k, obj in enumerate(objs) if obj.rank != 1} if exact else set()
 
-    if mode == "exact":
-        # Hom between two line bundles is the cohomology of a weight difference
-        space = collection.space
-        homs = {True: partial(_line_hom, {}), False: graded_hom}
-        line = [weyl_dim(space.rs, space.levi_mask, o.hw) == 1 for o in objs]
-        exceptional = tuple(
-            PairResult(i, i, *_check_diag_exact(objs[i], homs[line[i]])) for i in range(n)
-        )
-        semiorthogonal = tuple(
-            PairResult(j, i, *_check_pair_exact(objs[j], objs[i], homs[line[j] and line[i]]))
-            for j, i in backward
-        )
-    else:
-        exceptional = tuple(
-            PairResult(i, i, gram[i][i] == 1, f"chi = {gram[i][i]}") for i in range(n)
-        )
-        semiorthogonal = tuple(
-            PairResult(j, i, True, "0")
-            if gram[j][i] == 0
-            else PairResult(j, i, False, f"chi = {gram[j][i]}", gram[i][j] == 0)
-            for j, i in backward
-        )
+    def failure(j: int, i: int) -> PairResult | None:
+        """The result for Hom(E_j, E_i) if that entry fails, else None."""
+        if i in higher_rank or j in higher_rank:
+            dims = graded_hom(objs[j], objs[i])
+            if dims == ({0: 1} if i == j else {}):
+                return None
+            fixable = i != j and not graded_hom(objs[i], objs[j])
+            return PairResult(j, i, False, format_graded(dims), fixable)
+        if gram[j][i] == (1 if i == j else 0):
+            return None
+        evidence = _line_evidence(objs[j], objs[i]) if exact else f"chi = {gram[j][i]}"
+        return PairResult(j, i, False, evidence, i != j and gram[i][j] == 0)
+
+    passing = "k in degree 0" if exact else "chi = 1"
+    exceptional = _Results(n, True, map(failure, range(n), range(n)), passing)
+    # (i, j) for each backward pair that may fail; a zero lower row has none
+    suspects = {
+        (i, j) for j in range(1, n) if any(gram[j][:j]) for i in range(j) if gram[j][i]
+    }
+    suspects.update((min(h, k), max(h, k)) for h in higher_rank for k in range(n) if k != h)
+    semiorthogonal = _Results(n, False, (failure(j, i) for i, j in sorted(suspects)), "0")
     det = _det_exact(gram)
 
-    thread_ok: bool | None = None
-    thread_trace: tuple[str, ...] = ()
-    if mode == "exact":
-        ok, trace = thread_check(gram, collection.space.dim)
-        thread_ok, thread_trace = ok, tuple(trace)
+    thread_ok, trace = thread_check(gram, collection.space.dim) if exact else (None, ())
 
     return VerificationReport(
         collection=collection,
@@ -457,7 +523,7 @@ def verify(
         gram=tuple(tuple(row) for row in gram),
         det=det,
         thread_ok=thread_ok,
-        thread_trace=thread_trace,
+        thread_trace=tuple(trace),
         wall_time=time.perf_counter() - start,
     )
 

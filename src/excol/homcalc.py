@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .roots import (
-    ExcolError, RootSystem, Weight, _make, subsystem, validate_weight, weyl_product,
+    MAX_GRAM_OBJECTS, ExcolError, RootSystem, Weight, _make, subsystem, validate_weight,
+    weyl_product,
 )
 from .characters import irrep_character
 from .bwb import BundleObject, ParabolicSpace, graded_hom
@@ -168,7 +169,10 @@ def euler_pairing(
 def gram_matrix(
     objects: Sequence["BundleObject | KClass"], method: str = "chi"
 ) -> list[list[int]]:
-    """Matrix of Euler pairings G[i][j] = chi(E_i, E_j)."""
+    """Matrix of Euler pairings G[i][j] = chi(E_i, E_j), for at most
+    MAX_GRAM_OBJECTS objects."""
+    if len(objects) > MAX_GRAM_OBJECTS:
+        raise ExcolError(f"{len(objects)} objects exceed the Gram limit {MAX_GRAM_OBJECTS}")
     if method != "chi":
         return [[euler_pairing(x, y, method=method) for y in objects] for x in objects]
     table = _ChiTable([_as_kclass(o) for o in objects])

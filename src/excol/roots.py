@@ -29,6 +29,15 @@ FAMILIES = ("A", "B", "C", "D")
 # at rank 80), so larger ranks are refused up front.
 MAX_RANK = 20
 
+# Largest n of the flag builders, which make 2^n n! objects.  On a 2-CPU host
+# symplectic:7 (645,120 lines) builds in 13-19 s and 344 MB, symplectic:8 not in
+# 60 s; orthogonal:6 (46,080 classes) in 7.1 s and 204 MB, orthogonal:7 not in 65 s.
+MAX_SYMPLECTIC_RANK = 7
+MAX_ORTHOGONAL_RANK = 6
+# Most objects gram_matrix accepts.  verify on 3,840 (rank 5) takes 6-7.5 s and
+# 0.3 GB, growing with the n^2 entries; rank 6's 46,080 would need at least 17 GB.
+MAX_GRAM_OBJECTS = 10_000
+
 __all__ = [
     "ExcolError",
     "LatticeError",

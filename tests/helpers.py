@@ -3,7 +3,8 @@
 Weights are drawn by rejection sampling so that every property test runs
 on honestly random Levi-dominant inputs instead of a handpicked list.  The
 oracles at the end are the searches and eliminations the library replaced
-with closed forms, and the Fraction arithmetic it replaced with integers.
+with closed forms, the Fraction arithmetic it replaced with integers, and
+the verification report that held every entry as a tuple.
 """
 
 import operator
@@ -13,6 +14,9 @@ from excol import (
     ExcolError,
     Weight,
     bundle_weight,
+    cohomology,
+    format_graded,
+    graded_hom,
     irrep_character,
     is_dominant,
     make_dominant_dot,
@@ -20,6 +24,7 @@ from excol import (
     weyl_orbit,
     weyl_order,
 )
+from excol.collections import PairResult
 from excol.homcalc import _solve_unimodular
 from excol.roots import weyl_product
 
@@ -485,3 +490,163 @@ def fraction_freudenthal(rs, mask, lam):
         for w in fraction_weyl_orbit(sub, Weight(mu)):
             full[w] = m
     return full
+
+
+# ----------------------------------------------------------------------
+# Oracles: exact verify entries by graded_hom alone, and the verification
+# report as it was before it kept only failures.
+
+
+def check_diag_exact(obj):
+    """(ok, evidence) of End*(obj) by graded_hom: ok when it is k in degree 0."""
+    dims = graded_hom(obj, obj)
+    return dims == {0: 1}, format_graded(dims)
+
+
+def check_pair_exact(src, dst):
+    """(ok, evidence, ordering_fixable) of the backward Hom*(src, dst) by
+    graded_hom: ok when it vanishes, fixable when the forward Hom does."""
+    dims = graded_hom(src, dst)
+    if not dims:
+        return True, "0", False
+    return False, format_graded(dims), not graded_hom(dst, src)
+
+
+def tuple_results(collection, mode, gram):
+    """Every diagonal entry and backward pair of verify, as tuples of
+    PairResult, in verify's order.  Exact mode computes every Hom: a line
+    pair through a per-call table of the cohomology of each weight
+    difference, any other pair through graded_hom."""
+    objs = collection.objects
+    n = len(objs)
+    backward = [(j, i) for i in range(n) for j in range(i + 1, n)]
+    if mode == "chi_only":
+        exceptional = tuple(
+            PairResult(i, i, gram[i][i] == 1, f"chi = {gram[i][i]}") for i in range(n)
+        )
+        semiorthogonal = tuple(
+            PairResult(j, i, True, "0")
+            if gram[j][i] == 0
+            else PairResult(j, i, False, f"chi = {gram[j][i]}", gram[i][j] == 0)
+            for j, i in backward
+        )
+        return exceptional, semiorthogonal
+    table = {}
+
+    def hom(src, dst):
+        if src.rank != 1 or dst.rank != 1:
+            return graded_hom(src, dst)
+        key = tuple(map(operator.sub, dst.hw.num, src.hw.num))
+        if key not in table:
+            table[key] = cohomology(src.space, dst.hw - src.hw)
+        return {k + src.shift - dst.shift: d for k, d in table[key].dims().items()}
+
+    def pair(src, dst):
+        dims = hom(src, dst)
+        if not dims:
+            return True, "0", False
+        return False, format_graded(dims), not hom(dst, src)
+
+    exceptional = tuple(
+        PairResult(i, i, hom(o, o) == {0: 1}, format_graded(hom(o, o)))
+        for i, o in enumerate(objs)
+    )
+    semiorthogonal = tuple(PairResult(j, i, *pair(objs[j], objs[i])) for j, i in backward)
+    return exceptional, semiorthogonal
+
+
+def tuple_summary_line(report, exceptional, semiorthogonal):
+    exc_ok = sum(1 for r in exceptional if r.ok)
+    semi_ok = sum(1 for r in semiorthogonal if r.ok)
+    if report.thread_ok is None:
+        thread = "skipped"
+    else:
+        thread = "true" if report.thread_ok else "false"
+    length = (
+        f"length=cells={report.length}"
+        if report.length == report.cells
+        else f"length={report.length}!=cells={report.cells}"
+    )
+    return (
+        f"{exc_ok}/{len(exceptional)} exceptional, "
+        f"{semi_ok}/{len(semiorthogonal)} semiorthogonal, "
+        f"{length}, det={report.det}, thread={thread}"
+    )
+
+
+def _tuple_passed(report, exceptional, semiorthogonal):
+    return (
+        all(r.ok for r in exceptional)
+        and all(r.ok for r in semiorthogonal)
+        and report.length == report.cells
+        and abs(report.det) == 1
+        and report.thread_ok is not False
+    )
+
+
+def tuple_render_text(report, exceptional, semiorthogonal):
+    """The text report rendered from the tuples, wall time line included."""
+    coll = report.collection
+    lines = [f"collection {coll.provenance} on {coll.space} ({report.mode} mode)"]
+    labels = coll.labels
+    for r in exceptional:
+        if not r.ok:
+            lines.append(f"FAIL object {labels[r.row]}: End = {r.evidence}")
+    for r in semiorthogonal:
+        if not r.ok:
+            tag = " [ordering-fixable]" if r.ordering_fixable else ""
+            lines.append(
+                f"FAIL pair ({labels[r.col]}, {labels[r.row]}): "
+                f"backward Hom({labels[r.row]}, {labels[r.col]}) = {r.evidence}{tag}"
+            )
+    if report.length != report.cells:
+        lines.append(f"FAIL length {report.length} != cell count {report.cells}")
+    if abs(report.det) != 1:
+        lines.append(f"FAIL Gram determinant {report.det} is not a unit")
+    if report.thread_ok is False:
+        lines.append("FAIL thread: " + report.thread_trace[-1])
+    passed = _tuple_passed(report, exceptional, semiorthogonal)
+    lines.append(tuple_summary_line(report, exceptional, semiorthogonal))
+    lines.append(
+        f"verdict: {'complete-candidate' if passed else 'failed'} "
+        "(necessary conditions only)"
+    )
+    lines.append(f"wall time: {report.wall_time:.2f}s")
+    return "\n".join(lines)
+
+
+def tuple_json_dict(report, exceptional, semiorthogonal):
+    """The JSON document built from the tuples, as one dict."""
+    space = report.collection.space
+    passed = _tuple_passed(report, exceptional, semiorthogonal)
+    return {
+        "provenance": report.collection.provenance,
+        "space": {
+            "family": space.rs.family,
+            "rank": space.rs.rank,
+            "crossed": sorted(space.crossed),
+        },
+        "mode": report.mode,
+        "exceptional": [
+            {"index": r.row, "ok": r.ok, "evidence": r.evidence} for r in exceptional
+        ],
+        "semiorthogonal": [
+            {
+                "from": r.row,
+                "to": r.col,
+                "ok": r.ok,
+                "evidence": r.evidence,
+                "ordering_fixable": r.ordering_fixable,
+            }
+            for r in semiorthogonal
+        ],
+        "length": report.length,
+        "cells": report.cells,
+        "gram": [list(row) for row in report.gram],
+        "det": report.det,
+        "thread": report.thread_ok,
+        "thread_trace": list(report.thread_trace),
+        "summary": tuple_summary_line(report, exceptional, semiorthogonal),
+        "verdict": "complete-candidate" if passed else "failed",
+        "wall_time": report.wall_time,
+    }

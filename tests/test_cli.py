@@ -9,9 +9,16 @@ import json
 
 import pytest
 
-from excol import build_beilinson, build_igr26, dump_collection
+from excol import (
+    CollectionSpec,
+    build_beilinson,
+    build_igr26,
+    build_symplectic_flag,
+    dump_collection,
+)
 from excol.characters import clear_character_cache
 from excol.cli import main
+from excol.roots import MAX_GRAM_OBJECTS, MAX_ORTHOGONAL_RANK, MAX_SYMPLECTIC_RANK
 
 
 def run(capsys, *argv):
@@ -309,6 +316,34 @@ class TestRankLimit:
         doc = _doc_with(space={"family": "A", "rank": 1000, "crossed": [1]})
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
         self._assert_refused(*run(capsys, "verify", "--stdin"))
+
+
+class TestSizeLimits:
+    """What cannot finish is refused up front with exit 3 and one error line:
+    a flag builder above its rank, and a Gram matrix above MAX_GRAM_OBJECTS."""
+
+    @pytest.mark.parametrize(
+        "name", ["symplectic:8", "orthogonal:7", "symplectic:1000000000"]
+    )
+    def test_flag_builder_above_the_limit(self, capsys, name):
+        TestRankLimit._assert_refused(*run(capsys, "build", name))
+
+    def test_limits_between_rank_five_and_six(self):
+        assert len(build_symplectic_flag(5)) == 3840 <= MAX_GRAM_OBJECTS < 46080
+        assert MAX_ORTHOGONAL_RANK >= 5 and MAX_SYMPLECTIC_RANK >= 6
+
+    @pytest.mark.parametrize("command", ["verify", "gram", "thread"])
+    def test_gram_above_the_limit(self, capsys, monkeypatch, command):
+        # rank 6's 46,080 objects; building their Gram would not finish
+        coll = build_beilinson(1)
+        big = CollectionSpec(
+            coll.space, coll.objects[:1] * 46080, "bundles", ("O",) * 46080, "big"
+        )
+        monkeypatch.setattr("excol.cli._get_collection", lambda args: big)
+        monkeypatch.setattr(
+            "excol.homcalc._ChiTable", lambda *args: pytest.fail("the Gram was started")
+        )
+        TestRankLimit._assert_refused(*run(capsys, command, "--builder=big"))
 
 
 def test_cache_directory_variable_is_ignored(capsys, monkeypatch, tmp_path):

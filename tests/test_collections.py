@@ -31,9 +31,10 @@ from excol import (
     verify,
     weight,
 )
+from excol import bwb as bwb_module
 from excol import collections as collections_module
 from excol import homcalc, roots
-from excol.collections import _check_diag_exact, _check_pair_exact
+from helpers import check_diag_exact, check_pair_exact
 
 IGR = parabolic_space("C", 3, [2])
 
@@ -303,9 +304,19 @@ class TestChiOnlyFailures:
         assert "det=4" in report.summary_line()
 
 
+def _line_path_variants(base):
+    """Shifted, reversed, reversed-and-shifted and duplicated-object orders."""
+    objs, labels = base.objects, base.labels
+    shifted = tuple(obj.shifted(k % 3 - 1) for k, obj in enumerate(objs))
+    yield "reversed-shifted", shifted[::-1], labels[::-1]
+    yield "shifted", shifted, labels
+    yield "reversed", objs[::-1], labels[::-1]
+    yield "duplicated", objs[:1] + objs, labels[:1] + labels
+
+
 class TestExactLinePath:
-    """Line-bundle pairs read Hom off a table of weight differences; every
-    result must equal the per-pair graded_hom route."""
+    """Line-bundle pairs are read off the Gram matrix; every result must equal
+    the per-pair graded_hom route on passing and failing orders alike."""
 
     @pytest.mark.parametrize(
         "build",
@@ -314,29 +325,69 @@ class TestExactLinePath:
             lambda: build_beilinson(3),
             lambda: build_quadric(6),
             build_igr26,
+            lambda: build_symplectic_flag(1),
+            lambda: build_symplectic_flag(3),
+            lambda: build_beilinson(1),
+            lambda: build_beilinson(2),
+            lambda: build_quadric(2),
+            lambda: build_quadric(3),
+            lambda: build_quadric(4),
+            lambda: build_quadric(5),
         ],
-        ids=["symplectic:2", "beilinson:3", "quadric:6", "igr26"],
+        ids=[
+            "symplectic:2", "beilinson:3", "quadric:6", "igr26", "symplectic:1",
+            "symplectic:3", "beilinson:1", "beilinson:2", "quadric:2", "quadric:3",
+            "quadric:4", "quadric:5",
+        ],
     )
     def test_matches_per_pair_graded_hom(self, build):
         base = build()
-        objects = tuple(
-            obj.shifted(k % 3 - 1) for k, obj in enumerate(reversed(base.objects))
-        )
-        coll = CollectionSpec(
-            base.space, objects, "bundles", base.labels[::-1], "reversed-shifted"
-        )
-        report = verify(coll, mode="exact")
-        for r in report.exceptional:
-            assert (r.ok, r.evidence) == _check_diag_exact(objects[r.row])
-        for r in report.semiorthogonal:
-            expected = _check_pair_exact(objects[r.row], objects[r.col])
-            assert (r.ok, r.evidence, r.ordering_fixable) == expected
-        failing = {r.ordering_fixable for r in report.semiorthogonal if not r.ok}
-        assert True in failing
+        fixable = set()
+        for name, objects, labels in _line_path_variants(base):
+            coll = CollectionSpec(base.space, objects, "bundles", labels, name)
+            report = verify(coll, mode="exact")
+            for r in report.exceptional:
+                assert (r.ok, r.evidence) == check_diag_exact(objects[r.row])
+            for r in report.semiorthogonal:
+                expected = check_pair_exact(objects[r.row], objects[r.col])
+                assert (r.ok, r.evidence, r.ordering_fixable) == expected, (name, r)
+            fixable.update(r.ordering_fixable for r in report.semiorthogonal if not r.ok)
+            assert report.passed == (name == "shifted" and verify(base).passed)
+        assert fixable == ({True, False} if len(base) > 1 else {False})
         if base.provenance in ("quadric:6", "igr26"):
             # both routes run: some objects are line bundles, some are not
-            ranks = {obj.rank for obj in objects}
+            ranks = {obj.rank for obj in base.objects}
             assert 1 in ranks and max(ranks) > 1
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = {"cohomology": 0, "graded_hom": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for module in (bwb_module, collections_module):
+            for name in calls:
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        return calls
+
+    def test_passing_line_collection_computes_no_hom(self, monkeypatch):
+        coll = build_symplectic_flag(3)
+        calls = self._count_calls(monkeypatch)
+        assert verify(coll, mode="exact").passed
+        assert calls == {"cohomology": 0, "graded_hom": 0}
+
+    def test_failing_line_pairs_alone_call_cohomology(self, monkeypatch):
+        base = build_symplectic_flag(3)
+        coll = _reordered(base, range(len(base) - 1, -1, -1), "reversed")
+        calls = self._count_calls(monkeypatch)
+        report = verify(coll, mode="exact")
+        failing = sum(not r.ok for r in report.semiorthogonal)
+        assert 0 < failing < len(report.semiorthogonal)
+        assert calls == {"cohomology": failing, "graded_hom": 0}
 
 
 # Pinned from the commit before line-weight differences were tabulated.
