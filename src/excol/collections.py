@@ -5,15 +5,16 @@ desk-checkable necessary condition: exceptionality of each object,
 vanishing of all backward graded Homs (or backward Euler pairings in
 chi_only mode), length against the Schubert cell count, unimodularity of
 the Gram matrix, and the helix thread criterion.  chi_only mode reads its
-triangle off the Gram matrix, and so does exact mode for each pair of line
-bundles; the thread verdict follows from the Gram's triangularity and the
-period bound.  The report keeps only the failing entries, and never claims
+triangle off the Gram matrix, and so does exact mode for each pair with a
+line bundle on either side; the thread verdict follows from the Gram's
+triangularity and the period bound.  The report keeps only the failing entries, and never claims
 completeness, only that every necessary condition passed.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 import time
@@ -29,7 +30,7 @@ from .roots import (
     Weight,
     validate_weight,
 )
-from .characters import tensor_decompose, weyl_dim
+from .characters import dual_weight, tensor_decompose, weyl_dim
 from .bwb import (
     BundleObject,
     ParabolicSpace,
@@ -445,12 +446,6 @@ class VerificationReport:
         yield "}"
 
 
-def _line_evidence(src: BundleObject, dst: BundleObject) -> str:
-    """Hom*(src, dst) of two line bundles: H*(L_{b-a}), moved by the shifts."""
-    dims = cohomology(src.space, dst.hw - src.hw).dims()
-    return format_graded({k + src.shift - dst.shift: d for k, d in dims.items()})
-
-
 def verify(
     collection: CollectionSpec, mode: str = "exact", jobs: int = 1
 ) -> VerificationReport:
@@ -464,14 +459,18 @@ def verify(
     compatibility and ignored.
 
     chi_only reads every entry off the Gram matrix, and exact mode reads
-    there every entry between line bundles; it runs graded_hom on any pair
-    with a bundle of higher rank.  Proof for lines: Hom^k(L_a[s], L_b[t]) =
-    H^{k+s-t}(L_{b-a}), and by Borel-Weil-Bott (Bott 1957) H*(L_v), the same
-    on G/P as on G/B, is zero or sits in one degree l with dimension
-    |chi(L_v)|.  So Hom*(E_j, E_i) vanishes exactly when gram[j][i] does,
-    the forward Hom of ordering_fixable when gram[i][j] does, and End*(L) =
-    H*(O) = k in degree 0.  cohomology runs only to print the evidence of a
-    failing line pair.
+    there every entry with a line bundle on either side; it runs graded_hom
+    only on pairs of bundles of higher rank.  Proof: if L is a line bundle
+    and E irreducible with highest weight lam, then E^* (x) L and L^* (x) E
+    are irreducible, with highest weights dual(lam) + a and lam - a for L
+    of weight a.  So Hom^k(E[s], F[t]) = H^{k+s-t}(E^* (x) F) is the
+    cohomology of one irreducible bundle V, and by Borel-Weil-Bott (Bott
+    1957) H*(V) is zero or sits in one degree l with dimension |chi(V)|.
+    Hence Hom*(E_j, E_i) vanishes exactly when gram[j][i] does, the forward
+    Hom of ordering_fixable when gram[i][j] does, and End*(L) = H*(O) = k in
+    degree 0.  cohomology runs only to print the evidence of a failing
+    pair, once per highest weight of V in one call.  When every diagonal
+    entry is 1 and the lower triangle is zero, det = 1 without elimination.
     """
     start = time.perf_counter()
     if mode not in ("exact", "chi_only"):
@@ -485,12 +484,23 @@ def verify(
         )
     n = len(objs)
     gram = gram_matrix(objs)
-    # the objects whose Homs are not read off the Gram
+    # the objects whose Homs with one another are not read off the Gram
     higher_rank = {k for k, obj in enumerate(objs) if obj.rank != 1} if exact else set()
+    space = collection.space
+    dual = functools.cache(lambda k: dual_weight(space.rs, space.levi_mask, objs[k].hw))
+    cohomologies: dict[Weight, dict[int, int]] = {}
+
+    def evidence(j: int, i: int) -> str:
+        """Hom*(E_j, E_i) with a line on one side: H* of E_j^* (x) E_i, shifted."""
+        hw = dual(j) + objs[i].hw
+        if hw not in cohomologies:
+            cohomologies[hw] = cohomology(space, hw).dims()
+        offset = objs[j].shift - objs[i].shift
+        return format_graded({k + offset: d for k, d in cohomologies[hw].items()})
 
     def failure(j: int, i: int) -> PairResult | None:
         """The result for Hom(E_j, E_i) if that entry fails, else None."""
-        if i in higher_rank or j in higher_rank:
+        if i in higher_rank and j in higher_rank:
             dims = graded_hom(objs[j], objs[i])
             if dims == ({0: 1} if i == j else {}):
                 return None
@@ -498,20 +508,20 @@ def verify(
             return PairResult(j, i, False, format_graded(dims), fixable)
         if gram[j][i] == (1 if i == j else 0):
             return None
-        evidence = _line_evidence(objs[j], objs[i]) if exact else f"chi = {gram[j][i]}"
-        return PairResult(j, i, False, evidence, i != j and gram[i][j] == 0)
+        text = evidence(j, i) if exact else f"chi = {gram[j][i]}"
+        return PairResult(j, i, False, text, i != j and gram[i][j] == 0)
 
     passing = "k in degree 0" if exact else "chi = 1"
     exceptional = _Results(n, True, map(failure, range(n), range(n)), passing)
-    # (i, j) for each backward pair that may fail; a zero lower row has none
-    suspects = {
-        (i, j) for j in range(1, n) if any(gram[j][:j]) for i in range(j) if gram[j][i]
-    }
-    suspects.update((min(h, k), max(h, k)) for h in higher_rank for k in range(n) if k != h)
+    lower = [j for j in range(1, n) if any(gram[j][:j])]
+    # (i, j) for each backward pair that may fail
+    suspects = {(i, j) for j in lower for i in range(j) if gram[j][i]}
+    suspects.update(itertools.combinations(sorted(higher_rank), 2))
     semiorthogonal = _Results(n, False, (failure(j, i) for i, j in sorted(suspects)), "0")
-    det = _det_exact(gram)
+    unit_upper = not lower and all(gram[i][i] == 1 for i in range(n))
+    det = 1 if unit_upper else _det_exact(gram)
 
-    thread_ok, trace = thread_check(gram, collection.space.dim) if exact else (None, ())
+    thread_ok, trace = thread_check(gram, space.dim) if exact else (None, ())
 
     return VerificationReport(
         collection=collection,
@@ -519,7 +529,7 @@ def verify(
         exceptional=exceptional,
         semiorthogonal=semiorthogonal,
         length=n,
-        cells=collection.space.cell_count,
+        cells=space.cell_count,
         gram=tuple(tuple(row) for row in gram),
         det=det,
         thread_ok=thread_ok,

@@ -9,7 +9,9 @@ characteristic is Weyl's polynomial, a closed form with no memo.  Every
 chi pairing (Gram matrix, euler_pairing, mutate_pair_k) runs on one table
 per call: each line weight of the call's classes packed into one int, so a
 term pair costs one subtraction and one lookup, and each distinct weight
-difference is evaluated once.
+difference is evaluated once, as a product of differences of two vectors
+of coroot pairings.  Between bundles, the right side of a pairing enters
+by its highest weight alone (relative Borel-Weil; see gram_matrix).
 
 The thread verdict follows from triangularity and the period bound: once
 the Gram matrix is unit upper-triangular, the helix sweep closes at every
@@ -19,11 +21,12 @@ position (see thread_check), so only those preconditions are computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .roots import (
-    MAX_GRAM_OBJECTS, ExcolError, RootSystem, Weight, _make, subsystem, validate_weight,
-    weyl_product,
+    MAX_GRAM_OBJECTS, ExcolError, RootSystem, Weight, _pairings, _weyl_quotient,
+    subsystem, validate_weight, weyl_product,
 )
 from .characters import irrep_character
 from .bwb import BundleObject, ParabolicSpace, graded_hom
@@ -92,10 +95,20 @@ class KClass:
 
 
 def kclass_of(obj: BundleObject) -> KClass:
-    """K-theory class of a bundle: its Levi character, signed by shift parity."""
+    """K-theory class of a bundle: its Levi character, signed by shift parity.
+
+    A line bundle's character is its one weight, so Freudenthal is skipped.
+    """
+    if obj.rank == 1:
+        return _head(obj)
     sign = -1 if obj.shift % 2 else 1
     char = irrep_character(obj.space.rs, obj.space.levi_mask, obj.hw)
     return KClass.from_dict(obj.space, {w: sign * m for w, m in char.mults.items()})
+
+
+def _head(obj: BundleObject) -> KClass:
+    """The class of the line with a bundle's highest weight, signed by shift parity."""
+    return KClass(obj.space, ((obj.hw, -1 if obj.shift % 2 else 1),))
 
 
 def chi_line(rs: RootSystem, nu: Weight) -> int:
@@ -109,41 +122,85 @@ def _as_kclass(obj: "BundleObject | KClass") -> KClass:
 
 
 class _ChiTable(dict):
-    """chi(L_d) for the line-weight differences d of one call's classes.
+    """chi(L_{b-a}) for the line weights a on the left and b on the right of
+    one call's pairings, keyed by packed difference.
 
-    Each distinct weight's doubled coordinates are packed as the digits of
-    one int in base 2s + 1, s the largest coordinate range over the weights.
-    Every digit of a difference lies in [-s, s], so key(b) - key(a) names
-    b - a exactly; a missing key is unpacked and evaluated once.  classes
-    holds each class as (key, coeff) pairs.
+    A left object enters by the terms of its K-class.  When every object is
+    a BundleObject, a right object E_lam enters by its highest weight alone,
+    signed by its shift; otherwise by its terms too.  Each distinct weight's
+    doubled coordinates are packed as the digits of one int in base 2s + 1,
+    s the largest coordinate range over the weights.  Every digit of a
+    difference lies in [-s, s], so key(b) - key(a) names b - a exactly.
+
+    chi(L_{b-a}) is Weyl's polynomial, prod 2 <b - a + rho, alpha^vee> over
+    the positive roots divided by the Weyl denominator.  The pairing is
+    linear, so with p_a = (2 <a, alpha^vee>) and q_b = (2 <b + rho, alpha^vee>),
+    each computed once per weight, a missing difference costs one product of
+    q_b - p_a.  It is evaluated against the left key `at`, which every
+    lookup loop sets first.
     """
 
-    def __init__(self, classes: Sequence[KClass]) -> None:
+    def __init__(
+        self,
+        left: Sequence["BundleObject | KClass"],
+        right: Sequence["BundleObject | KClass"],
+    ) -> None:
         super().__init__()
+        lefts = [_as_kclass(o) for o in left]
+        heads = all(isinstance(o, BundleObject) for o in (*left, *right))
+        rights = [_head(o) if heads else _as_kclass(o) for o in right]
+        classes = lefts + rights
         if any(k.space != classes[0].space for k in classes):
             raise ExcolError("Euler pairing needs both classes on the same space")
         nums = {w.num for k in classes for w, _ in k.terms}
-        self.spread = max((max(c) - min(c) for c in zip(*nums)), default=0)
-        self.base = 2 * self.spread + 1
-        keys = {n: sum(x * self.base**i for i, x in enumerate(n)) for n in nums}
-        self.classes = [[(keys[w.num], c) for w, c in k.terms] for k in classes]
-        self.sub = subsystem(classes[0].space.rs) if classes else None
+        spread = max((max(c) - min(c) for c in zip(*nums)), default=0)
+        keys = {n: sum(x * (2 * spread + 1) ** i for i, x in enumerate(n)) for n in nums}
+        self.left, self.right = (
+            [[(keys[w.num], c) for w, c in k.terms] for k in side] for side in (lefts, rights)
+        )
+        self.heads = heads
+        if classes:
+            full = subsystem(classes[0].space.rs)
+            self.denominator = full.weyl_denominator
+            rho = _pairings(full.positive_int, full.rho.num)
+            self.p = {keys[n]: _pairings(full.positive_int, n) for n in nums}
+            self.q = {k: list(map(add, p, rho)) for k, p in self.p.items()}
+        self.at = 0
 
     def __missing__(self, d: int) -> int:
-        rest, digits = d, []
-        for _ in range(self.sub.rs.dim):
-            rest, x = divmod(rest + self.spread, self.base)
-            digits.append(x - self.spread)
-        chi = self[d] = weyl_product(self.sub, _make(tuple(digits)))
+        chi = self[d] = _weyl_quotient(
+            map(sub, self.q[self.at + d], self.p[self.at]), self.denominator
+        )
         return chi
 
-    def pair(self, x: list[tuple[int, int]], y: list[tuple[int, int]]) -> int:
+    def _pair(self, x: list[tuple[int, int]], y: list[tuple[int, int]]) -> int:
         """chi(x, y) as the sum of c_a c_b chi(L_{b-a}) over the term pairs."""
         total = 0
         for ka, ca in x:
+            self.at = ka
             for kb, cb in y:
                 total += ca * cb * self[kb - ka]
         return total
+
+    def gram(self) -> list[list[int]]:
+        """[[chi(x, y) for y on the right] for x on the left].
+
+        With right heads, a row takes one lookup per left term and column,
+        and the column signs are applied once at the end.
+        """
+        if not self.heads:
+            return [[self._pair(x, y) for y in self.right] for x in self.left]
+        keys = [kb for (kb, _), in self.right]
+        signs = [cb for (_, cb), in self.right]
+        flip = -1 in signs
+        rows = []
+        for x in self.left:
+            row = [0] * len(keys)
+            for ka, ca in x:
+                self.at = ka
+                row = [r + ca * self[kb - ka] for r, kb in zip(row, keys)]
+            rows.append(list(map(mul, signs, row)) if flip else row)
+        return rows
 
 
 def euler_pairing(
@@ -151,13 +208,14 @@ def euler_pairing(
 ) -> int:
     """Euler pairing chi(x, y).
 
-    method="chi" expands both sides into line classes and sums line Euler
-    characteristics; method="ext" computes the graded Hom spaces and takes
-    the alternating sum (bundle inputs only).
+    method="chi" expands x into line classes and sums line Euler
+    characteristics against the line classes of y, or against y's highest
+    weight alone when both are bundles (see gram_matrix); method="ext"
+    computes the graded Hom spaces and takes the alternating sum (bundle
+    inputs only).
     """
     if method == "chi":
-        table = _ChiTable([_as_kclass(x), _as_kclass(y)])
-        return table.pair(*table.classes)
+        return _ChiTable([x], [y]).gram()[0][0]
     if method == "ext":
         if not (isinstance(x, BundleObject) and isinstance(y, BundleObject)):
             raise ExcolError("method='ext' needs actual bundles, not K-classes")
@@ -170,13 +228,23 @@ def gram_matrix(
     objects: Sequence["BundleObject | KClass"], method: str = "chi"
 ) -> list[list[int]]:
     """Matrix of Euler pairings G[i][j] = chi(E_i, E_j), for at most
-    MAX_GRAM_OBJECTS objects."""
+    MAX_GRAM_OBJECTS objects.
+
+    On the chi route, chi(x, y) is the sum of c_a c_b chi(L_{b-a}) over the
+    line classes a of x and b of y, on the full flag G/B.  When every object
+    is a bundle, y = E_lam enters by lam alone: chi(E_mu, E_lam) is the sum
+    of m_a chi(L_{lam-a}) over the weights a of E_mu, with multiplicity
+    m_a.  Proof: by relative Borel-Weil, the projection pi: G/B -> G/P has
+    pi_* L_lam = E_lam and no higher direct images, for lam dominant for
+    the Levi (Bott 1957).  The projection formula then gives
+    chi(G/P, E_mu^* (x) E_lam) = chi(G/B, pi^* E_mu^* (x) L_lam), and
+    pi^* E_mu^* is filtered by the lines L_{-a}.  Shifts sign both sides.
+    """
     if len(objects) > MAX_GRAM_OBJECTS:
         raise ExcolError(f"{len(objects)} objects exceed the Gram limit {MAX_GRAM_OBJECTS}")
     if method != "chi":
         return [[euler_pairing(x, y, method=method) for y in objects] for x in objects]
-    table = _ChiTable([_as_kclass(o) for o in objects])
-    return [[table.pair(x, y) for y in table.classes] for x in table.classes]
+    return _ChiTable(objects, objects).gram()
 
 
 def _bareiss(
@@ -247,8 +315,7 @@ def mutate_pair_k(
     """
     if left.terms == right.terms:
         raise ExcolError("refusing to mutate a pair with identical classes")
-    table = _ChiTable([left, right])
-    chi = table.pair(*table.classes)
+    chi = _ChiTable([left], [right]).gram()[0][0]
     if side == "left":
         return left.scale(chi).sub(right), left
     if side == "right":

@@ -475,8 +475,16 @@ def weyl_product(sub: Subsystem, lam: Weight) -> int:
     Borel-Weil-Bott, chi(L_lam) on the full flag: 0 when lam + rho is
     singular, else signed by (-1)^length.  Doubled coordinates cancel.
     """
-    num = math.prod(_pairings(sub.positive_int, _add(lam.num, sub.rho.num)))
-    val, rest = divmod(num, sub.weyl_denominator)
+    return _weyl_quotient(
+        _pairings(sub.positive_int, _add(lam.num, sub.rho.num)), sub.weyl_denominator
+    )
+
+
+def _weyl_quotient(factors: Iterable[int], denominator: int) -> int:
+    """prod factors / denominator, where the factors are 2 <nu + rho, a^vee>
+    over the positive roots and the denominator is the same product at nu = 0:
+    Weyl's polynomial at nu, an exact integer on lattice weights."""
+    val, rest = divmod(math.prod(factors), denominator)
     assert rest == 0, "Weyl's polynomial must be an integer on lattice weights"
     return val
 

@@ -380,14 +380,75 @@ class TestExactLinePath:
         assert verify(coll, mode="exact").passed
         assert calls == {"cohomology": 0, "graded_hom": 0}
 
+    @pytest.mark.parametrize(
+        "build,expected",
+        [
+            (build_igr26, 28),
+            (lambda: build_quadric(7), 1),
+            (lambda: build_quadric(8), 3),
+            (lambda: build_quadric(9), 1),
+        ],
+        ids=["igr26", "quadric:7", "quadric:8", "quadric:9"],
+    )
+    def test_graded_hom_runs_only_between_bundles_of_higher_rank(
+        self, monkeypatch, build, expected
+    ):
+        """Every diagonal entry and backward pair among the bundles of higher
+        rank: igr26 has seven (7 + 21 calls), quadric:8 two spinor bundles."""
+        coll = build()
+        calls = self._count_calls(monkeypatch)
+        assert verify(coll, mode="exact").passed
+        assert calls["graded_hom"] == expected
+
+    @pytest.mark.parametrize("name", ["igr26", "quadric:8"])
+    def test_failing_pairs_with_a_line_take_no_graded_hom(self, monkeypatch, name):
+        base = build_igr26() if name == "igr26" else build_quadric(8)
+        coll = _reordered(base, range(len(base) - 1, -1, -1), "reversed")
+        ranks = []
+        graded_hom = collections_module.graded_hom
+        monkeypatch.setattr(
+            collections_module, "graded_hom",
+            lambda src, dst: ranks.append((src.rank, dst.rank)) or graded_hom(src, dst),
+        )
+        report = verify(coll, mode="exact")
+        assert any(
+            1 in (coll.objects[r.row].rank, coll.objects[r.col].rank)
+            and max(coll.objects[r.row].rank, coll.objects[r.col].rank) > 1
+            for r in report.semiorthogonal.failures.values()
+        )
+        assert ranks and min(min(pair) for pair in ranks) > 1
+
     def test_failing_line_pairs_alone_call_cohomology(self, monkeypatch):
         base = build_symplectic_flag(3)
         coll = _reordered(base, range(len(base) - 1, -1, -1), "reversed")
         calls = self._count_calls(monkeypatch)
         report = verify(coll, mode="exact")
-        failing = sum(not r.ok for r in report.semiorthogonal)
-        assert 0 < failing < len(report.semiorthogonal)
-        assert calls == {"cohomology": failing, "graded_hom": 0}
+        failing = [r for r in report.semiorthogonal if not r.ok]
+        assert 0 < len(failing) < len(report.semiorthogonal)
+        # one cohomology per distinct weight b - a of a failing Hom(L_a, L_b)
+        weights = {coll.objects[r.col].hw - coll.objects[r.row].hw for r in failing}
+        assert (len(failing), len(weights)) == (594, 59)
+        assert calls == {"cohomology": len(weights), "graded_hom": 0}
+
+
+@pytest.mark.parametrize("perturb", [None, "diagonal", "lower"])
+def test_det_of_a_unit_upper_triangular_gram_skips_elimination(monkeypatch, rng, perturb):
+    coll = build_beilinson(6)
+    n = len(coll)
+    calls = []
+    monkeypatch.setattr(
+        collections_module, "_det_exact", lambda g: calls.append(g) or homcalc._det_exact(g)
+    )
+    for _ in range(5):
+        gram = [[rng.randint(-9, 9) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+        i = rng.randrange(n)
+        if perturb == "diagonal":
+            gram[i][i] = rng.choice([-1, 0, 2, 3])
+        elif perturb == "lower":
+            gram[max(i, 1)][rng.randrange(max(i, 1))] = rng.choice([-2, -1, 1, 4])
+        monkeypatch.setattr(collections_module, "gram_matrix", lambda objs: gram)
+        assert verify(coll, mode="chi_only").det == homcalc._det_exact(gram)
+    assert len(calls) == (0 if perturb is None else 5)
 
 
 # Pinned from the commit before line-weight differences were tabulated.

@@ -179,26 +179,40 @@ class TestKernelContract:
             (lambda: build_orthogonal_flag(3), 601),
             (lambda: build_symplectic_flag(3), 231),
             (lambda: build_beilinson(6), 13),
+            (build_igr26, 54),
+            (lambda: build_quadric(7), 83),
+            (lambda: build_quadric(8), 182),
         ],
-        ids=["orthogonal:3", "symplectic:3", "beilinson:6"],
+        ids=["orthogonal:3", "symplectic:3", "beilinson:6", "igr26", "quadric:7", "quadric:8"],
     )
     def test_one_evaluation_per_distinct_difference(self, monkeypatch, build, evaluations):
+        """One Weyl quotient per distinct difference b - a, for a over the left
+        terms and b over the right terms, or over the right highest weights
+        when every object is a bundle (igr26 and quadric:7 and 8 would need
+        69, 151 and 351 evaluations with right terms)."""
         objects = list(build().objects)
-        nums = [[w.num for w, _ in homcalc._as_kclass(o).terms] for o in objects]
+        left = [[w.num for w, _ in homcalc._as_kclass(o).terms] for o in objects]
+        heads = all(isinstance(o, BundleObject) for o in objects)
+        right = [[o.hw.num] for o in objects] if heads else left
         differences = {
             tuple(p - q for p, q in zip(b, a))
-            for x in nums for y in nums for a in x for b in y
+            for x in left for y in right for a in x for b in y
         }
         assert len(differences) == evaluations
         calls = []
 
-        def counting_weyl_product(sub, lam):
-            calls.append(lam)
-            return roots.weyl_product(sub, lam)
+        def counting_quotient(factors, denominator):
+            calls.append(tuple(factors))
+            return roots._weyl_quotient(calls[-1], denominator)
 
-        monkeypatch.setattr(homcalc, "weyl_product", counting_weyl_product)
+        monkeypatch.setattr(homcalc, "_weyl_quotient", counting_quotient)
         gram_matrix(objects)
-        assert sorted(lam.num for lam in calls) == sorted(differences)
+        # the factors 2 <d + rho, a^vee> determine d, as the coroots span
+        sub = subsystem(objects[0].space.rs)
+        assert sorted(calls) == sorted(
+            tuple(roots._pairings(sub.positive_int, roots._add(d, sub.rho.num)))
+            for d in differences
+        )
 
     def test_weyl_denominator_is_stored_once_per_subsystem(self, monkeypatch):
         for family, rank, mask in [("A", 1, None), ("B", 3, None), ("C", 3, [2]), ("D", 4, [])]:

@@ -5,7 +5,8 @@ Macdonald's product for Levi Weyl groups, fraction-free integer linear
 algebra, the fixed spinor constant, the thread verdict read off its
 preconditions, simple-root coefficients as partial sums, the Weyl group,
 Weyl dimension and Freudenthal on integer numerators, the Euler pairing on
-packed weight keys) against the slower search, Fraction arithmetic or
+packed weight keys and on right highest weights, exact verify read off the
+Gram) against the slower search, Fraction arithmetic or
 tuple arithmetic kept in helpers.py, on seeded inputs.
 """
 
@@ -15,6 +16,8 @@ from fractions import Fraction
 import pytest
 
 from excol import (
+    BundleObject,
+    CollectionSpec,
     KClass,
     Weight,
     build_root_system,
@@ -22,16 +25,19 @@ from excol import (
     gram_matrix,
     irrep_character,
     is_dominant,
+    kclass_of,
     make_dominant_dot,
     mutate_pair_k,
     parabolic_cell_count,
     parabolic_space,
     plain_dominantize,
     serre_operator,
+    space_from_string,
     spinor_weight,
     subsystem,
     tensor_decompose,
     thread_check,
+    verify,
     weyl_dim,
     weyl_orbit,
 )
@@ -52,11 +58,13 @@ from helpers import (
     greedy_tensor_decompose,
     orbit_cell_count,
     random_dominant,
+    random_levi_dominant,
     random_weight,
     solve_coefficients,
     spinor_constant_search,
     termwise_gram,
     thread_sweep,
+    tuple_results,
 )
 
 
@@ -473,3 +481,46 @@ def test_packed_keys_separate_differences_that_collide_in_a_smaller_base():
     assert gram_matrix(lines) == termwise_gram(lines) == [
         [chi_line(space.rs, _weight_of(b) - _weight_of(a)) for b in nums] for a in nums
     ]
+
+
+@pytest.mark.parametrize("name", ["C3:P2", "B3:P1", "B4:P1", "D4:P1", "D5:P1", "A4:P1,3"])
+def test_bundle_gram_and_exact_verify_match_termwise_and_graded_hom(name, rng):
+    """Bundles enter the Gram on the right by highest weight alone, and exact
+    verify reads every pair with a line bundle off the Gram; both against
+    the full terms and per-pair graded_hom, on shuffled shifted bundles."""
+    space = space_from_string(name)
+    dim = space.rs.dim
+    # the fundamental weight of each crossed node, none of them a spin node here
+    lines = [Weight([1] * k + [0] * (dim - k)) for k in sorted(space.crossed)]
+    objects = []
+    for k in range(9):
+        if k % 2:
+            hw = random_levi_dominant(rng, space, span=1, half=True)
+        else:
+            hw = Weight([0] * dim)
+            for w in lines:
+                hw = hw + w.scale(rng.randint(-3, 3))
+        objects.append(BundleObject(space, hw, rng.randint(-1, 2)))
+    rng.shuffle(objects)
+
+    gram = gram_matrix(objects)
+    assert gram == termwise_gram([kclass_of(o) for o in objects])
+    for x, row in zip(objects, gram):
+        for y, chi in zip(objects, row):
+            assert euler_pairing(x, y) == euler_pairing(x, y, method="ext") == chi
+    # a class that is no bundle's: the bundle on its right keeps every term
+    odd = KClass.from_dict(space, {random_weight(rng, space.rs, 3): 1, lines[0]: -2})
+    for y in objects:
+        assert euler_pairing(odd, y) == termwise_gram([odd, kclass_of(y)])[0][1]
+
+    labels = tuple(f"E{k}" for k in range(len(objects)))
+    coll = CollectionSpec(space, tuple(objects), "bundles", labels, name)
+    report = verify(coll, mode="exact")
+    exceptional, semiorthogonal = tuple_results(coll, "exact", report.gram)
+    assert tuple(report.exceptional) == exceptional
+    assert tuple(report.semiorthogonal) == semiorthogonal
+    mixed = [
+        r for r in semiorthogonal
+        if not r.ok and sorted(objects[k].rank == 1 for k in (r.row, r.col)) == [False, True]
+    ]
+    assert mixed, "a failing pair of a line and a bundle of higher rank"
