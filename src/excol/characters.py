@@ -60,13 +60,18 @@ class Character:
         return sum(self.mults.values())
 
 
-def weyl_dim(rs: RootSystem, mask: Iterable[int] | None, lam: Weight) -> int:
-    """Dimension of the irreducible with highest weight lam over the subsystem."""
+def _dominant_for(rs: RootSystem, mask: Iterable[int] | None, lam: Weight) -> Subsystem:
+    """The subsystem of mask, once lam is checked to be a weight dominant for it."""
     validate_weight(rs, lam)
     sub = subsystem(rs, mask)
     if not is_dominant(sub, lam):
         raise DominanceError(f"{lam} is not dominant for mask {sorted(sub.mask)}")
-    return _weyl_dim_cached(sub, lam)
+    return sub
+
+
+def weyl_dim(rs: RootSystem, mask: Iterable[int] | None, lam: Weight) -> int:
+    """Dimension of the irreducible with highest weight lam over the subsystem."""
+    return _weyl_dim_cached(_dominant_for(rs, mask, lam), lam)
 
 
 @lru_cache(maxsize=None)
@@ -136,10 +141,7 @@ def irrep_character(
     rs: RootSystem, mask: Iterable[int] | None, lam: Weight
 ) -> Character:
     """Weight multiplicities of the irreducible with highest weight lam."""
-    validate_weight(rs, lam)
-    sub = subsystem(rs, mask)
-    if not is_dominant(sub, lam):
-        raise DominanceError(f"{lam} is not dominant for mask {sorted(sub.mask)}")
+    sub = _dominant_for(rs, mask, lam)
     return Character(rs, sub.mask, dict(_character_cached(sub, lam)))
 
 
@@ -196,8 +198,4 @@ def tensor_decompose(
 
 def dual_weight(rs: RootSystem, mask: Iterable[int] | None, lam: Weight) -> Weight:
     """Highest weight of the dual representation: -w0(lam) over the subsystem."""
-    validate_weight(rs, lam)
-    sub = subsystem(rs, mask)
-    if not is_dominant(sub, lam):
-        raise DominanceError(f"{lam} is not dominant for mask {sorted(sub.mask)}")
-    return plain_dominantize(sub, -lam)
+    return plain_dominantize(_dominant_for(rs, mask, lam), -lam)

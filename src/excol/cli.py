@@ -264,7 +264,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     coll = _get_collection(args)
-    report = verify(coll, mode=args.mode, jobs=args.jobs)
+    report = verify(coll, mode=args.mode)
     if args.json:
         sys.stdout.writelines(report.json_chunks())
         sys.stdout.write("\n")

@@ -19,7 +19,6 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .roots import (
@@ -44,6 +43,7 @@ from .homcalc import (
     KClass,
     _as_kclass,
     _det_exact,
+    _lower_rows,
     gram_matrix,
     thread_check,
 )
@@ -446,17 +446,14 @@ class VerificationReport:
         yield "}"
 
 
-def verify(
-    collection: CollectionSpec, mode: str = "exact", jobs: int = 1
-) -> VerificationReport:
+def verify(collection: CollectionSpec, mode: str = "exact") -> VerificationReport:
     """Run the full battery of necessary conditions on an ordered collection.
 
     exact mode checks graded Hom spaces for the diagonal and all backward
     pairs (bundle collections only); chi_only checks the same triangle at
     the level of Euler pairings.  Both modes compare length with the
     Schubert cell count and test Gram unimodularity; exact mode also runs
-    the helix thread criterion.  Checks run serially: jobs is accepted for
-    compatibility and ignored.
+    the helix thread criterion.
 
     chi_only reads every entry off the Gram matrix, and exact mode reads
     there every entry with a line bundle on either side; it runs graded_hom
@@ -469,8 +466,8 @@ def verify(
     Hence Hom*(E_j, E_i) vanishes exactly when gram[j][i] does, the forward
     Hom of ordering_fixable when gram[i][j] does, and End*(L) = H*(O) = k in
     degree 0.  cohomology runs only to print the evidence of a failing
-    pair, once per highest weight of V in one call.  When every diagonal
-    entry is 1 and the lower triangle is zero, det = 1 without elimination.
+    pair, once per highest weight of V in one call.  The determinant is
+    _det_exact's, which needs no elimination for a triangular Gram.
     """
     start = time.perf_counter()
     if mode not in ("exact", "chi_only"):
@@ -513,13 +510,11 @@ def verify(
 
     passing = "k in degree 0" if exact else "chi = 1"
     exceptional = _Results(n, True, map(failure, range(n), range(n)), passing)
-    lower = [j for j in range(1, n) if any(gram[j][:j])]
     # (i, j) for each backward pair that may fail
-    suspects = {(i, j) for j in lower for i in range(j) if gram[j][i]}
+    suspects = {(i, j) for j in _lower_rows(gram) for i in range(j) if gram[j][i]}
     suspects.update(itertools.combinations(sorted(higher_rank), 2))
     semiorthogonal = _Results(n, False, (failure(j, i) for i, j in sorted(suspects)), "0")
-    unit_upper = not lower and all(gram[i][i] == 1 for i in range(n))
-    det = 1 if unit_upper else _det_exact(gram)
+    det = _det_exact(gram)
 
     thread_ok, trace = thread_check(gram, space.dim) if exact else (None, ())
 
@@ -536,10 +531,6 @@ def verify(
         thread_trace=tuple(trace),
         wall_time=time.perf_counter() - start,
     )
-
-
-def _frac_json(x: Fraction):
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _int_field(value, name: str) -> int:
@@ -559,7 +550,7 @@ def _weight_parse(raw) -> Weight:
 
 
 def _weight_json(w: Weight) -> list:
-    return [_frac_json(c) for c in w.coords]
+    return [f"{x}/2" if x % 2 else x // 2 for x in w.num]
 
 
 def _kclass_json(k: KClass) -> dict:

@@ -286,7 +286,9 @@ def _dot(x, y):
 def thread_sweep(gram, space_dim):
     """Helix thread test that runs the sweep: each class is right-mutated
     through the rest of its window and must close onto its inverse-Serre
-    image, with the window staying unit upper-triangular at every step."""
+    image, with the window staying unit upper-triangular at every step.
+    Its precondition scan walks the lower triangle row by row, entry by
+    entry: the oracle for thread_check's first backward fault."""
     trace = []
     n = len(gram)
     if any(len(row) != n for row in gram):

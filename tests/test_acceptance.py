@@ -6,7 +6,6 @@ carries the evidence in the assertion message.
 """
 
 import math
-import os
 import time
 
 from excol import (
@@ -69,7 +68,7 @@ def test_criterion_01_golden_hom_values():
 
 
 def test_criterion_02_full_exceptionality_of_the_twelve():
-    report = verify(build_igr26(), mode="exact", jobs=1)
+    report = verify(build_igr26(), mode="exact")
     diag_ok = sum(1 for r in report.exceptional if r.ok)
     pairs_ok = sum(1 for r in report.semiorthogonal if r.ok)
     _report(
@@ -155,7 +154,7 @@ def test_criterion_06_symplectic_flags():
         coll = build_symplectic_flag(n)
         expected_len = (2**n) * math.factorial(n)
         tower = symplectic_tower(n)
-        report = verify(coll, mode="exact", jobs=os.cpu_count() or 1)
+        report = verify(coll, mode="exact")
         ok = (
             ok
             and len(coll) == expected_len
@@ -175,7 +174,7 @@ def test_criterion_07_quadrics():
     ok = True
     for n, length in [(3, 4), (4, 6), (5, 6)]:
         coll = build_quadric(n)
-        report = verify(coll, mode="exact", jobs=2)
+        report = verify(coll, mode="exact")
         ok = (
             ok
             and len(coll) == length == coll.space.cell_count
@@ -191,7 +190,7 @@ def test_criterion_08_orthogonal_flags():
     for n in (2, 3):
         coll = build_orthogonal_flag(n)
         expected_len = (2**n) * math.factorial(n)
-        report = verify(coll, mode="chi_only", jobs=os.cpu_count() or 1)
+        report = verify(coll, mode="chi_only")
         ok = ok and len(coll) == expected_len and report.passed
         details.append(f"n={n}: {report.summary_line()}")
     _report(ok, "orthogonal flags (Euler triangle); " + "; ".join(details))

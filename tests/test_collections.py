@@ -34,7 +34,7 @@ from excol import (
 from excol import bwb as bwb_module
 from excol import collections as collections_module
 from excol import homcalc, roots
-from helpers import check_diag_exact, check_pair_exact
+from helpers import check_diag_exact, check_pair_exact, fraction_det
 
 IGR = parabolic_space("C", 3, [2])
 
@@ -173,15 +173,6 @@ class TestVerify:
         text = report.render_text()
         assert "verdict: complete-candidate (necessary conditions only)" in text
 
-    def test_parallel_equals_serial(self):
-        serial = verify(build_igr26(), mode="exact", jobs=1)
-        parallel = verify(build_igr26(), mode="exact", jobs=4)
-        assert serial.passed and parallel.passed
-        assert serial.gram == parallel.gram
-        assert [r.ok for r in serial.semiorthogonal] == [
-            r.ok for r in parallel.semiorthogonal
-        ]
-
     def test_chi_only_agrees_on_bundles(self):
         report = verify(build_igr26(), mode="chi_only")
         assert report.passed
@@ -240,7 +231,7 @@ class TestVerify:
         assert report.passed, report.render_text()
 
     def test_symplectic_small_passes_exact(self):
-        report = verify(build_symplectic_flag(2), mode="exact", jobs=2)
+        report = verify(build_symplectic_flag(2), mode="exact")
         assert report.passed, report.render_text()
 
     def test_orthogonal_small_passes_chi_only(self):
@@ -431,14 +422,19 @@ class TestExactLinePath:
         assert calls == {"cohomology": len(weights), "graded_hom": 0}
 
 
+def _spy_on_bareiss(monkeypatch):
+    """The matrices homcalc._bareiss is called on from now on."""
+    calls = []
+    bareiss = homcalc._bareiss
+    monkeypatch.setattr(homcalc, "_bareiss", lambda m, rhs: calls.append(m) or bareiss(m, rhs))
+    return calls
+
+
 @pytest.mark.parametrize("perturb", [None, "diagonal", "lower"])
 def test_det_of_a_unit_upper_triangular_gram_skips_elimination(monkeypatch, rng, perturb):
     coll = build_beilinson(6)
     n = len(coll)
-    calls = []
-    monkeypatch.setattr(
-        collections_module, "_det_exact", lambda g: calls.append(g) or homcalc._det_exact(g)
-    )
+    calls = _spy_on_bareiss(monkeypatch)
     for _ in range(5):
         gram = [[rng.randint(-9, 9) if j > i else int(i == j) for j in range(n)] for i in range(n)]
         i = rng.randrange(n)
@@ -447,8 +443,21 @@ def test_det_of_a_unit_upper_triangular_gram_skips_elimination(monkeypatch, rng,
         elif perturb == "lower":
             gram[max(i, 1)][rng.randrange(max(i, 1))] = rng.choice([-2, -1, 1, 4])
         monkeypatch.setattr(collections_module, "gram_matrix", lambda objs: gram)
-        assert verify(coll, mode="chi_only").det == homcalc._det_exact(gram)
-    assert len(calls) == (0 if perturb is None else 5)
+        assert verify(coll, mode="chi_only").det == fraction_det(gram)
+    # a non-unit diagonal is still triangular; a lower entry needs elimination
+    assert len(calls) == (5 if perturb == "lower" else 0)
+
+
+def test_reversed_rank_four_is_triangular_without_elimination(monkeypatch):
+    # the reversed Gram is unit lower-triangular, so its determinant is the diagonal's
+    base = build_symplectic_flag(4)
+    calls = _spy_on_bareiss(monkeypatch)
+    report = verify(_reordered(base, range(len(base) - 1, -1, -1), "reversed"), mode="exact")
+    assert report.summary_line() == (
+        "384/384 exceptional, 50151/73536 semiorthogonal, length=cells=384, "
+        "det=1, thread=false"
+    )
+    assert calls == []
 
 
 # Pinned from the commit before line-weight differences were tabulated.

@@ -207,6 +207,48 @@ def test_gauss_jordan_path_gives_the_adjugate(rng):
             assert row == [det * (i == j) for j in range(n)]
 
 
+def _triangle_reader_cases(rng):
+    """Seeded matrices up to 8x8: upper- and lower-triangular ones with zero
+    and non-unit diagonal entries, unit upper-triangular ones with two
+    adjacent objects swapped, and dense ones."""
+    cases = []
+    for n in range(1, 9):
+        for _ in range(4):
+            upper = [
+                [rng.choice((1, 1, -1, 0, 2, -3)) if i == j else rng.randint(-5, 5) * (j > i)
+                 for j in range(n)]
+                for i in range(n)
+            ]
+            cases += [upper, [list(col) for col in zip(*upper)]]
+            swapped = _random_unit_upper(rng, n)
+            k = rng.randrange(max(n - 1, 1))
+            order = list(range(n))
+            order[k:k + 2] = order[k:k + 2][::-1]
+            cases.append([[swapped[i][j] for j in order] for i in order])
+            cases.append([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+    return cases
+
+
+def test_det_reads_a_triangular_matrix_of_either_orientation(monkeypatch, rng):
+    calls = []
+    monkeypatch.setattr(
+        "excol.homcalc._bareiss", lambda m, rhs: calls.append(m) or _bareiss(m, rhs)
+    )
+    kinds = set()
+    for mat in _triangle_reader_cases(rng):
+        n = len(mat)
+        upper = all(mat[i][j] == 0 for i in range(n) for j in range(i))
+        lower = all(mat[i][j] == 0 for i in range(n) for j in range(i + 1, n))
+        calls.clear()
+        det = fraction_det(mat)
+        assert _det_exact(mat) == det
+        assert len(calls) == (0 if upper or lower else 1)
+        kinds.add((upper, lower, det == 0))
+    # upper and lower, each with a zero and a nonzero det, and eliminated ones
+    assert kinds >= {(u, not u, z) for u in (True, False) for z in (True, False)}
+    assert (False, False, False) in kinds
+
+
 @pytest.mark.parametrize("dim", range(3, 26))
 def test_spinor_constant_is_the_acyclic_one(dim):
     if dim % 2:
@@ -274,6 +316,20 @@ def test_thread_verdict_matches_sweep_below_the_period_bound(rng):
         ok, trace = thread_check(gram, dim)
         assert not ok
         assert (ok, trace) == thread_sweep(gram, dim)
+
+
+def test_thread_trace_matches_the_row_by_row_scan_with_several_faults(rng):
+    backward = set()
+    for _ in range(200):
+        n = rng.randint(2, 10)
+        gram = _random_unit_upper(rng, n)
+        for _ in range(rng.randint(2, 5)):
+            rng.choice([_break_triangle, _break_triangle, _break_diagonal])(rng, gram)
+        dim = rng.randint(0, n - 1)
+        ok, trace = thread_check(gram, dim)
+        assert (ok, trace) == thread_sweep(gram, dim)
+        backward.add(trace[-1].startswith("FAIL: backward pairing"))
+    assert backward == {True, False}  # both kinds of fault are reported first
 
 
 def _random_half_vector(rng, dim):
