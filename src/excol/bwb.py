@@ -9,6 +9,7 @@ uses the dot action over the Levi of the base.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
@@ -29,7 +30,7 @@ from .roots import (
     validate_weight,
     weight,
 )
-from .characters import dual_weight, tensor_decompose, weyl_dim
+from .characters import _weyl_dim_cached, dual_weight, tensor_decompose, weyl_dim
 
 __all__ = [
     "ParabolicSpace",
@@ -120,9 +121,10 @@ class BundleObject:
                 f"{self.hw} is not dominant for the Levi of {self.space}"
             )
 
-    @property
+    @functools.cached_property
     def rank(self) -> int:
-        return weyl_dim(self.space.rs, self.space.levi_mask, self.hw)
+        # hw was checked at construction, so weyl_dim's checks are skipped
+        return _weyl_dim_cached(self.space.levi, self.hw)
 
     def dual(self) -> "BundleObject":
         dw = dual_weight(self.space.rs, self.space.levi_mask, self.hw)

@@ -44,8 +44,8 @@ from .homcalc import (
     _as_kclass,
     _det_exact,
     _lower_rows,
+    _thread_trace,
     gram_matrix,
-    thread_check,
 )
 
 __all__ = [
@@ -412,6 +412,11 @@ class VerificationReport:
         """json.dumps(self.to_json_dict()) in pieces of about one Gram row.
 
         A passing entry is printed from a template, so none is ever built.
+        A semiorthogonal column i with no failure, the entries (j, i) for
+        j > i, is one str.join of the heads '{"from": j, "to": ' with the
+        column's common tail 'i, "ok": ...}, ' as separator; a column with a
+        failure is formatted entry by entry.  A Gram row is one str.join of
+        its entries' texts, each distinct value printed once.
         """
         n, dumps = self.length, json.dumps
         failed = {
@@ -421,18 +426,22 @@ class VerificationReport:
         }
         evidence = dumps(self.exceptional.evidence)
         diag = '{"index": %d, "ok": true, "evidence": ' + evidence + "}"
-        pair = (
-            '{"from": %d, "to": %d, "ok": true, "evidence": "0", '
-            '"ordering_fixable": false}'
-        )
-        # each list as chunks of entries; every chunk is nonempty
+        passing = ', "ok": true, "evidence": "0", "ordering_fixable": false}'
+        heads = ['{"from": %d, "to": ' % j for j in range(n)]
+        broken = {i for _, i in self.semiorthogonal.failures}
+        text = _Texts().__getitem__
+
+        def column(i: int) -> str:
+            tail = f"{i}{passing}"
+            if i not in broken:
+                return (tail + ", ").join(heads[i + 1:]) + tail
+            return ", ".join(failed.get((j, i)) or heads[j] + tail for j in range(i + 1, n))
+
+        # each list as nonempty chunks of its entries
         lists = {
-            "exceptional": [[failed.get((i, i)) or diag % i for i in range(n)]],
-            "semiorthogonal": (
-                [failed.get((j, i)) or pair % (j, i) for j in range(i + 1, n)]
-                for i in range(n - 1)
-            ),
-            "gram": ([dumps(row)] for row in self.gram),
+            "exceptional": [", ".join(failed.get((i, i)) or diag % i for i in range(n))],
+            "semiorthogonal": map(column, range(n - 1)),
+            "gram": ("[" + ", ".join(map(text, row)) + "]" for row in self.gram),
         }
         for k, (key, value) in enumerate(self._json_fields().items()):
             yield ("{" if k == 0 else ", ") + dumps(key) + ": "
@@ -441,9 +450,19 @@ class VerificationReport:
                 continue
             yield "["
             for m, chunk in enumerate(lists[key]):
-                yield (", " if m else "") + ", ".join(chunk)
+                if m:
+                    yield ", "
+                yield chunk
             yield "]"
         yield "}"
+
+
+class _Texts(dict):
+    """str(v) for each int v asked for, made once."""
+
+    def __missing__(self, v: int) -> str:
+        text = self[v] = str(v)
+        return text
 
 
 def verify(collection: CollectionSpec, mode: str = "exact") -> VerificationReport:
@@ -510,13 +529,14 @@ def verify(collection: CollectionSpec, mode: str = "exact") -> VerificationRepor
 
     passing = "k in degree 0" if exact else "chi = 1"
     exceptional = _Results(n, True, map(failure, range(n), range(n)), passing)
+    lower = _lower_rows(gram)
     # (i, j) for each backward pair that may fail
-    suspects = {(i, j) for j in _lower_rows(gram) for i in range(j) if gram[j][i]}
+    suspects = {(i, j) for j in lower for i in range(j) if gram[j][i]}
     suspects.update(itertools.combinations(sorted(higher_rank), 2))
     semiorthogonal = _Results(n, False, (failure(j, i) for i, j in sorted(suspects)), "0")
-    det = _det_exact(gram)
+    det = _det_exact(gram, lower)
 
-    thread_ok, trace = thread_check(gram, space.dim) if exact else (None, ())
+    thread_ok, trace = _thread_trace(gram, space.dim, lower) if exact else (None, ())
 
     return VerificationReport(
         collection=collection,

@@ -7,11 +7,12 @@ or K-theoretically from line-bundle Euler characteristics; the two routes
 are kept separate so they can cross-check each other.  A line-bundle Euler
 characteristic is Weyl's polynomial, a closed form with no memo.  Every
 chi pairing (Gram matrix, euler_pairing, mutate_pair_k) runs on one table
-per call: each line weight of the call's classes packed into one int, so a
-term pair costs one subtraction and one lookup, and each distinct weight
-difference is evaluated once, as a product of differences of two vectors
-of coroot pairings.  Between bundles, the right side of a pairing enters
-by its highest weight alone (relative Borel-Weil; see gram_matrix).
+per call: each line weight of the call's classes packed into one int, and
+each distinct weight difference evaluated once, as a product of
+differences of two vectors of coroot pairings.  Between bundles, the right
+side of a pairing enters by its highest weight alone (relative Borel-Weil;
+see gram_matrix).  Each object is a shape translated by an offset, and a
+pairing is summed once per pair of shapes and difference of offsets.
 
 The thread verdict follows from triangularity and the period bound: once
 the Gram matrix is unit upper-triangular, the helix sweep closes at every
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from operator import add, mul, sub
 from typing import Mapping, Sequence
 
@@ -100,16 +102,11 @@ def kclass_of(obj: BundleObject) -> KClass:
 
     A line bundle's character is its one weight, so Freudenthal is skipped.
     """
-    if obj.rank == 1:
-        return _head(obj)
     sign = -1 if obj.shift % 2 else 1
+    if obj.rank == 1:
+        return KClass(obj.space, ((obj.hw, sign),))
     char = irrep_character(obj.space.rs, obj.space.levi_mask, obj.hw)
     return KClass.from_dict(obj.space, {w: sign * m for w, m in char.mults.items()})
-
-
-def _head(obj: BundleObject) -> KClass:
-    """The class of the line with a bundle's highest weight, signed by shift parity."""
-    return KClass(obj.space, ((obj.hw, -1 if obj.shift % 2 else 1),))
 
 
 def chi_line(rs: RootSystem, nu: Weight) -> int:
@@ -122,23 +119,41 @@ def _as_kclass(obj: "BundleObject | KClass") -> KClass:
     return kclass_of(obj) if isinstance(obj, BundleObject) else obj
 
 
+def _terms(obj: "BundleObject | KClass", head: bool) -> list[tuple[tuple[int, ...], int]]:
+    """An object's (num, coeff) terms: a K-class's own, or a bundle's Levi
+    character signed by its shift parity, only its highest weight if head."""
+    if isinstance(obj, KClass):
+        return [(w.num, c) for w, c in obj.terms]
+    sign = -1 if obj.shift % 2 else 1
+    if head or obj.rank == 1:
+        return [(obj.hw.num, sign)]
+    char = irrep_character(obj.space.rs, obj.space.levi_mask, obj.hw)
+    return [(w.num, sign * m) for w, m in char.mults.items()]
+
+
 class _ChiTable(dict):
     """chi(L_{b-a}) for the line weights a on the left and b on the right of
-    one call's pairings, keyed by packed difference.
+    one call's pairings, keyed by packed difference; gram() builds the rows.
 
-    A left object enters by the terms of its K-class.  When every object is
-    a BundleObject, a right object E_lam enters by its highest weight alone,
-    signed by its shift; otherwise by its terms too.  Each distinct weight's
-    doubled coordinates are packed as the digits of one int in base 2s + 1,
-    s the largest coordinate range over the weights.  Every digit of a
-    difference lies in [-s, s], so key(b) - key(a) names b - a exactly.
+    Objects enter by their terms; when every object is a BundleObject, a
+    right object E_lam enters by its highest weight alone, signed by its
+    shift.  Each distinct weight's doubled coordinates are packed as the
+    digits of one int in base 2s + 1, s the largest coordinate range over
+    the weights.  Every digit of a difference lies in [-s, s], so
+    key(b) - key(a) names b - a exactly.
 
     chi(L_{b-a}) is Weyl's polynomial, prod 2 <b - a + rho, alpha^vee> over
     the positive roots divided by the Weyl denominator.  The pairing is
     linear, so with p_a = (2 <a, alpha^vee>) and q_b = (2 <b + rho, alpha^vee>),
-    each computed once per weight, a missing difference costs one product of
-    q_b - p_a.  It is evaluated against the left key `at`, which every
-    lookup loop sets first.
+    each computed once per weight, a missing difference d costs one product
+    of q_b - p_a, at the left key a = at + first.get(d - delta, 0) and
+    b = a + d.  gram() sets `at` to the offset of each row's object, and a
+    _ShapeRow sets `first` and `delta` while it sums an entry.
+
+    Each object is a shape and an offset (see gram_matrix), and each left
+    shape has one _ShapeRow of its entries against every right shape.  When
+    both sides have only the one-line shape of coefficient 1, that row is
+    this table itself.
     """
 
     def __init__(
@@ -147,61 +162,100 @@ class _ChiTable(dict):
         right: Sequence["BundleObject | KClass"],
     ) -> None:
         super().__init__()
-        lefts = [_as_kclass(o) for o in left]
-        heads = all(isinstance(o, BundleObject) for o in (*left, *right))
-        rights = [_head(o) if heads else _as_kclass(o) for o in right]
-        classes = lefts + rights
-        if any(k.space != classes[0].space for k in classes):
+        objs = (*left, *right)
+        if any(o.space != objs[0].space for o in objs):
             raise ExcolError("Euler pairing needs both classes on the same space")
-        nums = {w.num for k in classes for w, _ in k.terms}
+        heads = all(isinstance(o, BundleObject) for o in objs)
+        lefts = [_terms(o, False) for o in left]
+        # a Gram matrix pairs a list of classes with itself
+        same = right is left and not heads
+        rights = lefts if same else [_terms(o, heads) for o in right]
+        nums = {n for side in (lefts, rights) for terms in side for n, _ in terms}
         spread = max((max(c) - min(c) for c in zip(*nums)), default=0)
         keys = {n: sum(x * (2 * spread + 1) ** i for i, x in enumerate(n)) for n in nums}
-        self.left, self.right = (
-            [[(keys[w.num], c) for w, c in k.terms] for k in side] for side in (lefts, rights)
-        )
-        self.heads = heads
-        if classes:
-            full = subsystem(classes[0].space.rs)
+        # (shape index, offset) of each object; shapes[1] indexes the right shapes
+        shapes: tuple[dict, dict] = ({}, {})
+        self.left = [_shape([(keys[n], c) for n, c in t], shapes[0]) for t in lefts]
+        if same:
+            self.right, shapes = self.left, (shapes[0], shapes[0])
+        else:
+            self.right = [_shape([(keys[n], c) for n, c in t], shapes[1]) for t in rights]
+        if objs:
+            full = subsystem(objs[0].space.rs)
             self.denominator = full.weyl_denominator
             rho = _pairings(full.positive_int, full.rho.num)
             self.p = {keys[n]: _pairings(full.positive_int, n) for n in nums}
             self.q = {k: list(map(add, p, rho)) for k, p in self.p.items()}
-        self.at = 0
+        self.at, self.width = 0, len(shapes[1])
+        self.delta, self.first = 0, {}
+        line = {((0, 1),): 0}
+        self.shape_rows = [
+            self if shapes == (line, line) else _ShapeRow(self, x, list(shapes[1]))
+            for x in shapes[0]
+        ]
 
     def __missing__(self, d: int) -> int:
+        at = self.at + self.first.get(d - self.delta, 0)
         chi = self[d] = _weyl_quotient(
-            map(sub, self.q[self.at + d], self.p[self.at]), self.denominator
+            map(sub, self.q[at + d], self.p[at]), self.denominator
         )
         return chi
 
-    def _pair(self, x: list[tuple[int, int]], y: list[tuple[int, int]]) -> int:
-        """chi(x, y) as the sum of c_a c_b chi(L_{b-a}) over the term pairs."""
-        total = 0
-        for ka, ca in x:
-            self.at = ka
-            for kb, cb in y:
-                total += ca * cb * self[kb - ka]
-        return total
-
     def gram(self) -> list[list[int]]:
-        """[[chi(x, y) for y on the right] for x on the left].
-
-        With right heads, a row takes one lookup per left term and column,
-        and the column signs are applied once at the end.
-        """
-        if not self.heads:
-            return [[self._pair(x, y) for y in self.right] for x in self.left]
-        keys = [kb for (kb, _), in self.right]
-        signs = [cb for (_, cb), in self.right]
-        flip = -1 in signs
+        """[[chi(x, y) for y on the right] for x on the left], one map per row."""
+        k = self.width
+        cols = [oy * k + t for t, oy in self.right]
         rows = []
-        for x in self.left:
-            row = [0] * len(keys)
-            for ka, ca in x:
-                self.at = ka
-                row = [r + ca * self[kb - ka] for r, kb in zip(row, keys)]
-            rows.append(list(map(mul, signs, row)) if flip else row)
+        for s, ox in self.left:
+            self.at = ox
+            entries = self.shape_rows[s].__getitem__
+            rows.append(list(map(entries, map(sub, cols, repeat(ox * k)))))
         return rows
+
+
+def _shape(terms: list[tuple[int, int]], known: dict) -> tuple[int, int]:
+    """(index of the shape in known, offset) of keyed terms; adds a new shape."""
+    terms.sort()
+    offset = terms[0][0] if terms else 0
+    shape = tuple([(kb - offset, c) for kb, c in terms])
+    return known.setdefault(shape, len(known)), offset
+
+
+class _ShapeRow(dict):
+    """chi(x, y) for x of one left shape S and y of each right shape T, keyed
+    delta * (number of right shapes) + (index of T), with delta the offset
+    of y minus the offset of x, and evaluated with chi.at at x's offset.
+
+    The entry is the sum of c chi(L_{delta + d}) over S and T's merged list
+    of (d, c), d = sb - sa summed over the term pairs.  A missing
+    chi(L_{delta + d}) is evaluated at the left key at + first[d], where
+    first[d] is the first sa that gives d, so it names real weights.
+    """
+
+    def __init__(self, chi: _ChiTable, left: tuple, rights: list[tuple]) -> None:
+        super().__init__()
+        self.chi = chi
+        self.merged = []
+        for right in rights:
+            first: dict[int, int] = {}
+            coeff: dict[int, int] = {}
+            for sa, ca in left:
+                for sb, cb in right:
+                    d = sb - sa
+                    first.setdefault(d, sa)
+                    coeff[d] = coeff.get(d, 0) + ca * cb
+            merged = [(d, c) for d, c in coeff.items() if c]
+            self.merged.append(([d for d, _ in merged], [c for _, c in merged], first))
+
+    def __missing__(self, key: int) -> int:
+        chi = self.chi
+        delta, t = divmod(key, chi.width)
+        ds, cs, chi.first = self.merged[t]
+        chi.delta = delta
+        val = self[key] = sum(
+            map(mul, cs, map(chi.__getitem__, map(add, ds, repeat(delta))))
+        )
+        return val
 
 
 def euler_pairing(
@@ -240,6 +294,16 @@ def gram_matrix(
     the Levi (Bott 1957).  The projection formula then gives
     chi(G/P, E_mu^* (x) E_lam) = chi(G/B, pi^* E_mu^* (x) L_lam), and
     pi^* E_mu^* is filtered by the lines L_{-a}.  Shifts sign both sides.
+
+    Shapes.  Write x's terms as keys ox + sa (coefficients ca) and y's as
+    oy + sb (cb), with the offsets ox, oy the smallest keys.  Then
+    chi(x, y) = sum c_d chi(L_{delta + d}) with delta = oy - ox, over the
+    merged list of d = sb - sa with c_d the sum of ca cb, so G[x][y] depends
+    only on x's shape, y's shape and delta, and each distinct triple is
+    summed once.  This is exact: each delta + d equals (oy + sb) - (ox + sa),
+    the difference of the packed keys of a term of x and a term of y, so its
+    digits lie in [-s, s] and it names the weight difference exactly, and
+    it is evaluated at that pair of real weights.
     """
     if len(objects) > MAX_GRAM_OBJECTS:
         raise ExcolError(f"{len(objects)} objects exceed the Gram limit {MAX_GRAM_OBJECTS}")
@@ -287,9 +351,12 @@ def _lower_rows(mat: Sequence[Sequence[int]]) -> list[int]:
     return [j for j, row in enumerate(mat) if any(row[:j])]
 
 
-def _det_exact(mat: Sequence[Sequence[int]]) -> int:
-    """det mat: the diagonal's product if mat is triangular either way, else Bareiss."""
-    if not _lower_rows(mat) or not any(any(row[j + 1:]) for j, row in enumerate(mat)):
+def _det_exact(mat: Sequence[Sequence[int]], lower: list[int] | None = None) -> int:
+    """det mat: the diagonal's product if mat is triangular either way, else
+    Bareiss.  lower, if given, is _lower_rows(mat)."""
+    if lower is None:
+        lower = _lower_rows(mat)
+    if not lower or not any(any(row[j + 1:]) for j, row in enumerate(mat)):
         return math.prod(row[j] for j, row in enumerate(mat))
     return _bareiss(mat, [()] * len(mat))[0]
 
@@ -357,17 +424,22 @@ def thread_check(
     Polishchuk, "Homological properties of associative algebras: the method
     of helices" (1993).
     """
+    if any(len(row) != len(gram) for row in gram):
+        return False, ["FAIL: Gram matrix is not square"]
+    return _thread_trace(gram, space_dim, _lower_rows(gram))
+
+
+def _thread_trace(
+    gram: Sequence[Sequence[int]], space_dim: int, lower: list[int]
+) -> tuple[bool, list[str]]:
+    """thread_check on a square Gram matrix whose _lower_rows are lower."""
     trace: list[str] = []
     n = len(gram)
-    if any(len(row) != n for row in gram):
-        trace.append("FAIL: Gram matrix is not square")
-        return False, trace
-
     for i in range(n):
         if gram[i][i] != 1:
             trace.append(f"FAIL: chi(E_{i}, E_{i}) = {gram[i][i]}, expected 1")
             return False, trace
-    for i in _lower_rows(gram):
+    for i in lower:
         j = next(j for j, x in enumerate(gram[i]) if x)
         trace.append(
             f"FAIL: backward pairing chi(E_{i}, E_{j}) = {gram[i][j]}, expected 0"

@@ -93,11 +93,15 @@ class Weight:
     num: tuple[int, ...]
 
     def __init__(self, coords: Iterable[Fraction | int | str]) -> None:
-        fracs = [Fraction(c) for c in coords]
-        if any(f.denominator > 2 for f in fracs):
-            shown = ", ".join(map(str, fracs))
-            raise LatticeError(f"coordinates of ({shown}) have denominators beyond 2")
-        num = tuple(f.numerator * (2 // f.denominator) for f in fracs)
+        coords = tuple(coords)
+        if all(type(c) is int for c in coords):  # not bool, float, str or Fraction
+            num = tuple(2 * c for c in coords)
+        else:
+            fracs = [Fraction(c) for c in coords]
+            if any(f.denominator > 2 for f in fracs):
+                shown = ", ".join(map(str, fracs))
+                raise LatticeError(f"coordinates of ({shown}) have denominators beyond 2")
+            num = tuple(f.numerator * (2 // f.denominator) for f in fracs)
         object.__setattr__(self, "num", num)
 
     @property

@@ -3,15 +3,18 @@
 Weights are drawn by rejection sampling so that every property test runs
 on honestly random Levi-dominant inputs instead of a handpicked list.  The
 oracles at the end are the searches and eliminations the library replaced
-with closed forms, the Fraction arithmetic it replaced with integers, and
-the verification report that held every entry as a tuple.
+with closed forms, the Fraction arithmetic it replaced with integers, the
+per-entry Gram kernel it replaced with shapes, and the verification report
+that held every entry as a tuple.
 """
 
 import operator
 from fractions import Fraction
 
 from excol import (
+    BundleObject,
     ExcolError,
+    KClass,
     Weight,
     bundle_weight,
     cohomology,
@@ -19,6 +22,7 @@ from excol import (
     graded_hom,
     irrep_character,
     is_dominant,
+    kclass_of,
     make_dominant_dot,
     subsystem,
     weyl_orbit,
@@ -26,7 +30,7 @@ from excol import (
 )
 from excol.collections import PairResult
 from excol.homcalc import _solve_unimodular
-from excol.roots import weyl_product
+from excol.roots import _pairings, _weyl_quotient, weyl_product
 
 
 def random_weight(rng, rs, span=4, half=False):
@@ -216,6 +220,74 @@ def termwise_gram(classes):
         return total
 
     return [[chi(x, y) for y in classes] for x in classes]
+
+
+class _ListwiseTable(dict):
+    """The chi table gram_matrix ran before shapes: chi(L_{b-a}) keyed by
+    packed difference and evaluated against the left key `at`, with every
+    object held as a list of (key, coeff) terms."""
+
+    def __init__(self, left, right):
+        super().__init__()
+        lefts = [kclass_of(o) if isinstance(o, BundleObject) else o for o in left]
+        self.heads = all(isinstance(o, BundleObject) for o in (*left, *right))
+        rights = [
+            KClass(o.space, ((o.hw, -1 if o.shift % 2 else 1),)) if self.heads
+            else kclass_of(o) if isinstance(o, BundleObject) else o
+            for o in right
+        ]
+        classes = lefts + rights
+        if any(k.space != classes[0].space for k in classes):
+            raise ExcolError("Euler pairing needs both classes on the same space")
+        nums = {w.num for k in classes for w, _ in k.terms}
+        spread = max((max(c) - min(c) for c in zip(*nums)), default=0)
+        keys = {n: sum(x * (2 * spread + 1) ** i for i, x in enumerate(n)) for n in nums}
+        self.left, self.right = (
+            [[(keys[w.num], c) for w, c in k.terms] for k in side] for side in (lefts, rights)
+        )
+        if classes:
+            full = subsystem(classes[0].space.rs)
+            self.denominator = full.weyl_denominator
+            rho = _pairings(full.positive_int, full.rho.num)
+            self.p = {keys[n]: _pairings(full.positive_int, n) for n in nums}
+            self.q = {k: list(map(operator.add, p, rho)) for k, p in self.p.items()}
+        self.at = 0
+
+    def __missing__(self, d):
+        chi = self[d] = _weyl_quotient(
+            map(operator.sub, self.q[self.at + d], self.p[self.at]), self.denominator
+        )
+        return chi
+
+    def _pair(self, x, y):
+        total = 0
+        for ka, ca in x:
+            self.at = ka
+            for kb, cb in y:
+                total += ca * cb * self[kb - ka]
+        return total
+
+    def gram(self):
+        if not self.heads:
+            return [[self._pair(x, y) for y in self.right] for x in self.left]
+        keys = [kb for (kb, _), in self.right]
+        signs = [cb for (_, cb), in self.right]
+        rows = []
+        for x in self.left:
+            row = [0] * len(keys)
+            for ka, ca in x:
+                self.at = ka
+                row = [r + ca * self[kb - ka] for r, kb in zip(row, keys)]
+            rows.append(list(map(operator.mul, signs, row)))
+        return rows
+
+
+def listwise_gram(left, right=None):
+    """[[chi(x, y) for y in right] for x in left] by the per-entry kernel
+    the shape-factored one replaced: each pair of K-class term lists summed
+    entry by entry, or, between bundles, a row built per left term against
+    the right highest weights.  right defaults to left."""
+    return _ListwiseTable(left, left if right is None else right).gram()
 
 
 def fraction_inverse(mat):

@@ -5,8 +5,8 @@ Macdonald's product for Levi Weyl groups, fraction-free integer linear
 algebra, the fixed spinor constant, the thread verdict read off its
 preconditions, simple-root coefficients as partial sums, the Weyl group,
 Weyl dimension and Freudenthal on integer numerators, the Euler pairing on
-packed weight keys and on right highest weights, exact verify read off the
-Gram) against the slower search, Fraction arithmetic or
+packed weight keys, on right highest weights and on shapes, exact verify
+read off the Gram) against the slower search, Fraction arithmetic or
 tuple arithmetic kept in helpers.py, on seeded inputs.
 """
 
@@ -41,8 +41,8 @@ from excol import (
     weyl_dim,
     weyl_orbit,
 )
-from excol.cli import main
-from excol.homcalc import _bareiss, _det_exact, chi_line
+from excol.cli import _builder_by_name, main
+from excol.homcalc import _bareiss, _ChiTable, _det_exact, chi_line
 
 from helpers import (
     dot_action_chi_line,
@@ -56,6 +56,7 @@ from helpers import (
     fraction_weyl_orbit,
     gauss_jordan_det,
     greedy_tensor_decompose,
+    listwise_gram,
     orbit_cell_count,
     random_dominant,
     random_levi_dominant,
@@ -580,3 +581,67 @@ def test_bundle_gram_and_exact_verify_match_termwise_and_graded_hom(name, rng):
         if not r.ok and sorted(objects[k].rank == 1 for k in (r.row, r.col)) == [False, True]
     ]
     assert mixed, "a failing pair of a line and a bundle of higher rank"
+
+
+def _classes(objects):
+    return [kclass_of(o) if isinstance(o, BundleObject) else o for o in objects]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"orthogonal:{n}" for n in (2, 3, 4)]
+    + [f"symplectic:{n}" for n in (2, 3, 4)]
+    + [f"quadric:{n}" for n in range(5, 10)]
+    + ["igr26"],
+)
+def test_shape_gram_matches_listwise_and_termwise_on_builders(name):
+    objects = _builder_by_name(name).objects
+    gram = gram_matrix(objects)
+    assert gram == listwise_gram(objects)
+    assert gram == termwise_gram(_classes(objects))
+
+
+@pytest.mark.parametrize("name", ["C3:P2", "B3:P1", "D4:P1", "A4:P1,3"])
+def test_shape_gram_matches_listwise_and_termwise_on_seeded_mixtures(name, rng):
+    """Lines and bundles of higher rank with odd shifts, K-classes that are
+    translates of one another, a class with a cancelled term, and mixed
+    lists of bundles and K-classes, where no right object enters by its head."""
+    space = space_from_string(name)
+    rs = space.rs
+    lines = [Weight([1] * k + [0] * (rs.dim - k)) for k in sorted(space.crossed)]
+    bundles = []
+    for k in range(8):
+        if k % 2:
+            hw = random_levi_dominant(rng, space, span=1, half=True)
+        else:
+            hw = Weight([0] * rs.dim)
+            for w in lines:
+                hw = hw + w.scale(rng.randint(-3, 3))
+        bundles.append(BundleObject(space, hw, rng.randint(-1, 2)))
+    assert {o.rank == 1 for o in bundles} == {True, False}
+    assert {o.shift % 2 for o in bundles} == {0, 1}
+
+    base = _random_kclass(rng, space, 3)
+    translates = [
+        KClass.from_dict(space, {w + shift: c for w, c in base.terms})
+        for shift in [random_weight(rng, rs, 3) for _ in range(4)]
+    ]
+    (w0, c0), extra = base.terms[0], random_weight(rng, rs, 3)
+    cancelled = base.add(KClass.from_dict(space, {w0: -c0, extra: 1}))
+    assert w0 not in cancelled.as_dict()
+    classes = [base, *translates, cancelled, _random_kclass(rng, space, 2)]
+    # the translates share the base's shape
+    assert len(_ChiTable(classes, classes).shape_rows) <= len(classes) - len(translates)
+    mixed = bundles[:4] + classes[:4]
+    rng.shuffle(mixed)
+
+    for objects in (bundles, classes, mixed):
+        gram = gram_matrix(objects)
+        assert gram == listwise_gram(objects) == termwise_gram(_classes(objects))
+    for x in mixed:
+        for y in bundles[:3] + mixed:
+            assert euler_pairing(x, y) == listwise_gram([x], [y])[0][0]
+    for x, y in itertools.combinations(classes, 2):
+        chi = listwise_gram([x], [y])[0][0]
+        assert mutate_pair_k(x, y, "left") == (x.scale(chi).sub(y), x)
+        assert mutate_pair_k(x, y, "right") == (y, y.scale(chi).sub(x))

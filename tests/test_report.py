@@ -2,10 +2,12 @@
 
 verify stores the failing entries alone; exceptional and semiorthogonal are
 views that build a passing PairResult when asked, and `verify --json`
-streams its document.  On every verify golden, on rank 4, and on broken
-orders of small collections, the streamed bytes must equal one json.dumps
-of to_json_dict() on the same report, and the report must match the tuple
-report of tests/helpers.py entry for entry and line for line.
+streams its document.  On every verify golden, on rank 4, on broken
+orders of small collections, on a column that mixes a failure with passing
+entries, and on collections of one and two objects, the streamed bytes must
+equal one json.dumps of to_json_dict() on the same report, and the report
+must match the tuple report of tests/helpers.py entry for entry and line
+for line.  Exact mode refuses K-class collections with exit 3.
 """
 
 import contextlib
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from excol import BundleObject, CollectionSpec, verify
+from excol import BundleObject, CollectionSpec, ExcolError, verify
 from excol import cli
 from helpers import tuple_json_dict, tuple_render_text, tuple_results
 
@@ -100,9 +102,54 @@ def test_golden_and_rank_four_reports(monkeypatch, case):
 @pytest.mark.parametrize("mode", ["exact", "chi_only"])
 @pytest.mark.parametrize("how", ["reversed", "shifted", "duplicated"])
 @pytest.mark.parametrize("name", BROKEN)
-def test_broken_orders(monkeypatch, name, how, mode):
+def test_broken_orders(monkeypatch, capsys, name, how, mode):
     coll = _broken(name, how)
     if mode == "exact" and coll.mode != "bundles":
-        pytest.skip("exact mode needs bundle objects")
+        # K-classes have no graded Hom: exact mode refuses them with exit 3
+        message = "exact verification needs irreducible bundle objects"
+        with pytest.raises(ExcolError, match=message):
+            verify(coll, mode)
+        monkeypatch.setattr(cli, "_get_collection", lambda args: coll)
+        assert cli.main(["verify", "--builder=x", "--mode=exact", "--json"]) == 3
+        err = f"error: {message}; use chi_only for K-class collections\n"
+        assert capsys.readouterr() == ("", err)
+        return
     report = _check(monkeypatch, coll, mode)
     assert report.passed == (how == "shifted")
+
+
+@pytest.mark.parametrize("mode", ["exact", "chi_only"])
+def test_a_column_mixes_a_failure_with_passes(monkeypatch, mode):
+    base = cli._builder_by_name("symplectic:3")
+    gram = verify(base, "chi_only").gram
+    # swap the first adjacent pair with a nonzero forward pairing
+    k = next(k for k in range(len(base) - 1) if gram[k][k + 1])
+    swap = lambda t: t[:k] + (t[k + 1], t[k]) + t[k + 2:]
+    coll = CollectionSpec(
+        base.space, swap(base.objects), base.mode, swap(base.labels), "symplectic:3 swapped"
+    )
+    report = _check(monkeypatch, coll, mode)
+    assert list(report.semiorthogonal.failures) == [(k + 1, k)]
+    assert len(base) - 1 - k > 1, "column k holds passing entries too"
+
+
+@pytest.mark.parametrize("mode", ["exact", "chi_only"])
+@pytest.mark.parametrize("name", ["beilinson:3", "quadric:7", "symplectic:2", "igr26"])
+@pytest.mark.parametrize("order", [(0,), (0, 1), (1, 0)])
+def test_one_and_two_objects(monkeypatch, name, order, mode):
+    base = cli._builder_by_name(name)
+    coll = CollectionSpec(
+        base.space,
+        tuple(base.objects[k] for k in order),
+        base.mode,
+        tuple(base.labels[k] for k in order),
+        f"{name} {order}",
+    )
+    code, out, report = _cli_verify(monkeypatch, coll, mode)
+    assert code == (0 if report.passed else 1) == 1  # too short to be full
+    assert out == json.dumps(report.to_json_dict()) + "\n"
+    exceptional, semiorthogonal = tuple_results(coll, mode, report.gram)
+    assert tuple(report.exceptional) == exceptional
+    assert tuple(report.semiorthogonal) == semiorthogonal
+    assert report.to_json_dict() == tuple_json_dict(report, exceptional, semiorthogonal)
+    assert len(semiorthogonal) == len(order) - 1

@@ -61,6 +61,43 @@ def test_equal_weights_compare_and_hash_equal_however_made(rng):
         assert len(set(made)) == 1 and len({hash(w) for w in made}) == 1
 
 
+def test_int_coordinates_make_the_same_weight_as_every_other_kind(rng):
+    """Plain ints are doubled without Fraction; bool, float, str, Fraction and
+    int subclasses take the Fraction path, with the same weight."""
+    subclass = type("Int", (int,), {})
+    for _ in range(200):
+        ints = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))]
+        kinds = [
+            ints, tuple(ints), iter(ints), (c for c in ints),
+            [Fraction(c) for c in ints], [str(c) for c in ints], [float(c) for c in ints],
+            [*ints[:1], *map(Fraction, ints[1:])], list(map(subclass, ints)),
+        ]
+        made = [Weight(k) for k in kinds]
+        assert {w.num for w in made} == {tuple(2 * c for c in ints)}
+        assert all(type(x) is int for w in made for x in w.num)
+        assert len(set(made)) == 1 and len({hash(w) for w in made}) == 1
+    big = 10**30
+    assert Weight([big, -big]) == Weight([str(big), Fraction(-big)])
+    assert Weight([big, -big]).num == (2 * big, -2 * big)
+    assert Weight([True, False]) == Weight([1, 0]) and Weight((True,)).num == (2,)
+    assert Weight([1, Fraction(1, 2)]).num == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "coords,error,message",
+    [
+        ([1, 0.25], LatticeError, "coordinates of (1, 1/4) have denominators beyond 2"),
+        ([1, "1/3"], LatticeError, "coordinates of (1, 1/3) have denominators beyond 2"),
+        ([True, Fraction(1, 6)], LatticeError,
+         "coordinates of (1, 1/6) have denominators beyond 2"),
+        ([1, "x"], ValueError, "Invalid literal for Fraction: 'x'"),
+    ],
+)
+def test_mixed_coordinates_keep_their_errors(coords, error, message):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        Weight(coords)
+
+
 def test_coords_are_fractions():
     for w in (weight(1, -2), weight("1/2", "-3/2"), Weight((Fraction(3, 2), 3))):
         assert all(type(c) is Fraction for c in w.coords)
