@@ -5,9 +5,8 @@ Exit codes: 0 success (and, for verify/thread, a passing verdict);
 precondition.  All numbers are exact; rationals render as "p/q".
 """
 
-from __future__ import annotations
-
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -48,11 +47,15 @@ _BUILDERS = {
 }
 
 
-def _parse_weight_literal(space: ParabolicSpace, text: str) -> Weight:
+def _parse_bundle_arg(space: ParabolicSpace, text: str) -> Weight:
+    """A weight literal such as (1,0,-1/2), else a bundle name such as U*(2)."""
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
     parts = [p.strip() for p in body.split(",")]
+    numeric = lambda p: p.lstrip("-").replace("/", "").isdigit()
+    if not ("," in body or numeric(body)) or not all(map(numeric, filter(None, parts))):
+        return bundle_weight(space, text)
     try:
         coords = tuple(Fraction(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
@@ -64,48 +67,19 @@ def _parse_weight_literal(space: ParabolicSpace, text: str) -> Weight:
     return Weight(coords)
 
 
-def _looks_like_weight(text: str) -> bool:
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    if "," not in body and not body.lstrip("-").replace("/", "").isdigit():
-        return False
-    return all(
-        p.strip().lstrip("-").replace("/", "").isdigit()
-        for p in body.split(",")
-        if p.strip() != ""
-    ) and body.strip() != ""
-
-
-def _parse_bundle_arg(space: ParabolicSpace, text: str) -> Weight:
-    if _looks_like_weight(text):
-        return _parse_weight_literal(space, text)
-    return bundle_weight(space, text)
-
-
 def _get_collection(args) -> CollectionSpec:
-    sources = [
-        bool(getattr(args, "builder", None)),
-        bool(getattr(args, "file", None)),
-        bool(getattr(args, "stdin", False)),
-    ]
-    if sum(sources) != 1:
+    if bool(args.builder) + bool(args.file) + args.stdin != 1:
         raise ParseError("pass exactly one of --builder, --file, --stdin")
-    if getattr(args, "builder", None):
+    if args.builder:
         return _builder_by_name(args.builder)
-    if getattr(args, "stdin", False):
-        try:
-            doc = json.load(sys.stdin)
-        except ValueError as exc:
-            raise ParseError(f"stdin is not valid JSON: {exc}") from exc
-        return load_collection(doc)
+    source = "stdin" if args.stdin else args.file
     try:
-        with open(args.file) as fh:
+        with contextlib.nullcontext(sys.stdin) if args.stdin else open(args.file) as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read {args.file}: {exc}") from exc
+        raise ParseError(f"cannot read {source}: {exc}") from exc
     except ValueError as exc:
-        raise ParseError(f"{args.file} is not valid JSON: {exc}") from exc
+        raise ParseError(f"{source} is not valid JSON: {exc}") from exc
     return load_collection(doc)
 
 
@@ -131,88 +105,67 @@ def _builder_by_name(name: str) -> CollectionSpec:
     return fn()
 
 
-def _cmd_bwb(args) -> int:
+# Each _cmd_* returns (document, text, exit code); main prints one rendering.
+# A document is a dict or JSON chunks, a text a str or text chunks; either may
+# be a zero-argument callable, so that a large one is built only if printed.
+
+
+def _cmd_bwb(args) -> tuple:
     space = space_from_string(args.space)
-    hw = _parse_bundle_arg(space, args.weight)
-    ans = cohomology(space, hw)
-    if args.json:
-        if ans.is_zero:
-            doc = {"zero": True}
-        else:
-            doc = {
-                "zero": False,
-                "degree": ans.degree,
-                "weight": _weight_json(ans.dominant),
-                "dim": ans.dim,
-            }
-        print(json.dumps(doc))
-    elif ans.is_zero:
-        print("0")
-    else:
-        print(f"degree {ans.degree}: highest weight {ans.dominant}, dim {ans.dim}")
-    return 0
+    ans = cohomology(space, _parse_bundle_arg(space, args.weight))
+    if ans.is_zero:
+        return {"zero": True}, "0", 0
+    doc = {
+        "zero": False,
+        "degree": ans.degree,
+        "weight": _weight_json(ans.dominant),
+        "dim": ans.dim,
+    }
+    return doc, f"degree {ans.degree}: highest weight {ans.dominant}, dim {ans.dim}", 0
 
 
-def _cmd_hom(args) -> int:
+def _cmd_hom(args) -> tuple:
     space = space_from_string(args.space)
     src = BundleObject(space, _parse_bundle_arg(space, args.src))
     dst = BundleObject(space, _parse_bundle_arg(space, args.dst))
     dims = graded_hom(src, dst)
-    if args.json:
-        print(json.dumps({"dims": {str(k): v for k, v in sorted(dims.items())}}))
-    else:
-        print(format_graded(dims))
-    return 0
+    return {"dims": {str(k): v for k, v in sorted(dims.items())}}, format_graded(dims), 0
 
 
-def _cmd_push(args) -> int:
+def _cmd_push(args) -> tuple:
     total = space_from_string(args.space)
     base = space_from_string(args.base)
     bundle = BundleObject(total, _parse_bundle_arg(total, args.bundle))
     result = pushforward(bundle, base)
-    if args.json:
-        doc = {"zero": result is None}
-        if result is not None:
-            doc.update(weight=_weight_json(result.hw), shift=result.shift)
-        print(json.dumps(doc))
-    else:
-        print("0" if result is None else str(result))
-    return 0
+    if result is None:
+        return {"zero": True}, "0", 0
+    doc = {"zero": False, "weight": _weight_json(result.hw), "shift": result.shift}
+    return doc, str(result), 0
 
 
-def _cmd_canonical(args) -> int:
-    space = space_from_string(args.space)
-    k = canonical_bundle(space)
-    if args.json:
-        print(json.dumps({"weight": _weight_json(k.hw)}))
-    else:
-        print(str(k.hw))
-    return 0
+def _cmd_canonical(args) -> tuple:
+    k = canonical_bundle(space_from_string(args.space))
+    return {"weight": _weight_json(k.hw)}, str(k.hw), 0
 
 
-def _cmd_cells(args) -> int:
-    space = space_from_string(args.space)
-    count = space.cell_count
-    if args.json:
-        print(json.dumps({"cells": count}))
-    else:
-        print(count)
-    return 0
+def _cmd_cells(args) -> tuple:
+    count = space_from_string(args.space).cell_count
+    return {"cells": count}, str(count), 0
 
 
-def _cmd_gram(args) -> int:
+def _cmd_gram(args) -> tuple:
     coll = _get_collection(args)
     gram = gram_matrix(list(coll.objects), method=args.method)
-    if args.json:
-        print(json.dumps({"labels": list(coll.labels), "gram": gram}))
-    else:
+
+    def text():
         width = max(len(str(x)) for row in gram for x in row)
-        for row in gram:
-            print(" ".join(str(x).rjust(width) for x in row))
-    return 0
+        for k, row in enumerate(gram):
+            yield ("\n" if k else "") + " ".join(str(x).rjust(width) for x in row)
+
+    return {"labels": list(coll.labels), "gram": gram}, text, 0
 
 
-def _cmd_mutate(args) -> int:
+def _cmd_mutate(args) -> tuple:
     coll = _get_collection(args)
     i = args.index
     if not 0 <= i < len(coll.objects) - 1:
@@ -222,55 +175,35 @@ def _cmd_mutate(args) -> int:
     new_left, new_right = mutate_pair_k(
         _as_kclass(coll.objects[i]), _as_kclass(coll.objects[i + 1]), args.side
     )
-    if args.json:
-        print(
-            json.dumps(
-                {"pair": [_kclass_json(new_left), _kclass_json(new_right)]}
-            )
-        )
-    else:
-        print(f"position {i}:   {new_left}")
-        print(f"position {i + 1}: {new_right}")
-    return 0
+    doc = {"pair": [_kclass_json(new_left), _kclass_json(new_right)]}
+    return doc, f"position {i}:   {new_left}\nposition {i + 1}: {new_right}", 0
 
 
-def _cmd_thread(args) -> int:
+def _cmd_thread(args) -> tuple:
     coll = _get_collection(args)
-    gram = gram_matrix(list(coll.objects))
-    ok, trace = thread_check(gram, coll.space.dim)
-    if args.json:
-        print(json.dumps({"thread": ok, "trace": trace}))
-    else:
-        for line in trace:
-            print(line)
-        print(f"thread={'true' if ok else 'false'}")
-    return 0 if ok else 1
+    ok, trace = thread_check(gram_matrix(list(coll.objects)), coll.space.dim)
+    text = "\n".join([*trace, f"thread={'true' if ok else 'false'}"])
+    return {"thread": ok, "trace": trace}, text, 0 if ok else 1
 
 
-def _cmd_build(args) -> int:
+def _cmd_build(args) -> tuple:
     coll = _builder_by_name(args.name)
-    if args.json:
-        print(json.dumps(dump_collection(coll)))
-        return 0
-    print(f"{coll.provenance} on {coll.space}: {len(coll)} objects")
-    for k, (obj, label) in enumerate(zip(coll.objects, coll.labels)):
-        if isinstance(obj, BundleObject):
-            desc = str(obj.hw) + (f"[{obj.shift}]" if obj.shift else "")
-        else:
-            desc = str(obj)
-        print(f"{k:4d}  {label:16s} {desc}")
-    return 0
+
+    def text():
+        yield f"{coll.provenance} on {coll.space}: {len(coll)} objects"
+        for k, (obj, label) in enumerate(zip(coll.objects, coll.labels)):
+            if isinstance(obj, BundleObject):
+                desc = str(obj.hw) + (f"[{obj.shift}]" if obj.shift else "")
+            else:
+                desc = str(obj)
+            yield f"\n{k:4d}  {label:16s} {desc}"
+
+    return lambda: dump_collection(coll), text, 0
 
 
-def _cmd_verify(args) -> int:
-    coll = _get_collection(args)
-    report = verify(coll, mode=args.mode)
-    if args.json:
-        sys.stdout.writelines(report.json_chunks())
-        sys.stdout.write("\n")
-    else:
-        print(report.render_text())
-    return 0 if report.passed else 1
+def _cmd_verify(args) -> tuple:
+    report = verify(_get_collection(args), mode=args.mode)
+    return report.json_chunks(), report.render_text, 0 if report.passed else 1
 
 
 def _add_collection_source(sub) -> None:
@@ -351,16 +284,20 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        doc, text, code = args.fn(args)
+        out = doc if args.json else text
+        if callable(out):
+            out = out()
+        if isinstance(out, dict):
+            out = json.dumps(out)
+        sys.stdout.writelines([out] if isinstance(out, str) else out)
+        sys.stdout.write("\n")
+        return code
     except ExcolError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ParseError) else 3
 
 
 if __name__ == "__main__":

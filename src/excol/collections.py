@@ -18,7 +18,7 @@ import functools
 import itertools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .roots import (
@@ -83,6 +83,8 @@ class CollectionSpec:
         for obj in self.objects:
             if obj.space != self.space:
                 raise ExcolError("all objects must live on the collection's space")
+            if self.mode == "bundles" and not isinstance(obj, BundleObject):
+                raise ExcolError(f"bundle mode cannot hold a {type(obj).__name__}")
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -318,7 +320,7 @@ class VerificationReport:
     semiorthogonal: _Results
     length: int
     cells: int
-    gram: tuple[tuple[int, ...], ...]
+    gram: list[list[int]] = field(hash=False)  # the rows gram_matrix built
     det: int
     thread_ok: bool | None
     thread_trace: tuple[str, ...]
@@ -545,7 +547,7 @@ def verify(collection: CollectionSpec, mode: str = "exact") -> VerificationRepor
         semiorthogonal=semiorthogonal,
         length=n,
         cells=space.cell_count,
-        gram=tuple(tuple(row) for row in gram),
+        gram=gram,
         det=det,
         thread_ok=thread_ok,
         thread_trace=tuple(trace),

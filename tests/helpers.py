@@ -4,8 +4,9 @@ Weights are drawn by rejection sampling so that every property test runs
 on honestly random Levi-dominant inputs instead of a handpicked list.  The
 oracles at the end are the searches and eliminations the library replaced
 with closed forms, the Fraction arithmetic it replaced with integers, the
-per-entry Gram kernel it replaced with shapes, and the verification report
-that held every entry as a tuple.
+per-entry Gram kernel it replaced with shapes, the verification report
+that held every entry as a tuple, and the command line's two-pass parser of
+bundle arguments.
 """
 
 import operator
@@ -15,6 +16,7 @@ from excol import (
     BundleObject,
     ExcolError,
     KClass,
+    ParseError,
     Weight,
     bundle_weight,
     cohomology,
@@ -724,3 +726,43 @@ def tuple_json_dict(report, exceptional, semiorthogonal):
         "verdict": "complete-candidate" if passed else "failed",
         "wall_time": report.wall_time,
     }
+
+
+# ----------------------------------------------------------------------
+# Oracle: the bundle-argument parser of the command line as it was, one pass
+# to decide that a string is a weight literal and a second to parse it.
+
+
+def parse_weight_literal(space, text):
+    body = text.strip()
+    if body.startswith("(") and body.endswith(")"):
+        body = body[1:-1]
+    parts = [p.strip() for p in body.split(",")]
+    try:
+        coords = tuple(Fraction(p) for p in parts)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"cannot parse weight {text!r}: {exc}") from exc
+    if len(coords) != space.rs.dim:
+        raise ParseError(
+            f"weight {text!r} has {len(coords)} coordinates; {space} needs {space.rs.dim}"
+        )
+    return Weight(coords)
+
+
+def looks_like_weight(text):
+    body = text.strip()
+    if body.startswith("(") and body.endswith(")"):
+        body = body[1:-1]
+    if "," not in body and not body.lstrip("-").replace("/", "").isdigit():
+        return False
+    return all(
+        p.strip().lstrip("-").replace("/", "").isdigit()
+        for p in body.split(",")
+        if p.strip() != ""
+    ) and body.strip() != ""
+
+
+def two_pass_bundle_arg(space, text):
+    if looks_like_weight(text):
+        return parse_weight_literal(space, text)
+    return bundle_weight(space, text)

@@ -157,6 +157,21 @@ class TestCollectionSpec:
         with pytest.raises(ExcolError):
             CollectionSpec(IGR, (other,), "bundles", ("a",), "space")
 
+    def test_bundle_mode_refuses_kclasses(self):
+        # verify on such a spec once ended in an AttributeError traceback
+        base = build_beilinson(2)
+        classes = tuple(map(kclass_of, base.objects))
+        with pytest.raises(ExcolError, match="cannot hold a KClass"):
+            CollectionSpec(base.space, classes, "bundles", base.labels, "mixed")
+        coll = CollectionSpec(base.space, classes, "kclasses", base.labels, "classes")
+        assert verify(coll, mode="chi_only").passed
+
+
+def test_report_keeps_the_gram_rows_and_stays_hashable():
+    report = verify(build_beilinson(2), mode="chi_only")
+    assert report.gram == [[1, 3, 6], [0, 1, 3], [0, 0, 1]]
+    assert hash(report) == hash(report)
+
 
 class TestVerify:
     def test_igr_passes_exact(self):

@@ -4,7 +4,9 @@ Collection documents are mutated field by field, and space and bundle
 strings are drawn from a grammar of near-misses.  Whatever the input,
 the exit code is 0, 1, 2 or 3; exits 2 and 3 print exactly one error
 line; exit 1 comes only with a printed report.  Examples are derandomized,
-so every run replays the same inputs.
+so every run replays the same inputs.  Bundle arguments drawn from a seeded
+generator parse to the same weight, or fail with the same error, as under
+the two-pass parser the command line replaced.
 """
 
 import contextlib
@@ -13,11 +15,14 @@ import io
 import json
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from excol import build_beilinson, dump_collection
-from excol.cli import main
+from excol import space_from_string
+from excol.cli import _parse_bundle_arg, main
+from helpers import two_pass_bundle_arg
 
 FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=400)
 
@@ -134,3 +139,38 @@ BUNDLES = st.one_of(
 def test_hom_on_random_strings_keeps_the_exit_contract(space, src, dst):
     rc, out, err = _run(["hom", f"--space={space}", f"--from={src}", f"--to={dst}"])
     _assert_contract(rc, out, err)
+
+
+NUMBERS = ["0", "-0", "3", "-12", "  4 ", "1/2", "-3/2", "5/2", "1/3", "1/0"]
+JUNK = ["", " ", "1.5", "x", "+1", "--2", "1/2/3", "\u00b2", "-", "/"]
+NAMES = ["O", "O(1)", "O(-2)", "U", "U*", "U*(2)", "Q", "Q(-1)", "S", "S*", "L(7,3)",
+         "O_U", "Zorp", "()", "(", ")", " O "]
+
+
+def _bundle_text(rng, dim):
+    """A bundle name, or parts that are mostly numbers, often dim of them."""
+    if rng.random() < 0.2:
+        return rng.choice(NAMES)
+    count = dim if rng.random() < 0.6 else rng.randint(1, 5)
+    body = rng.choice([",", ", ", " ,"]).join(
+        rng.choice(JUNK if rng.random() < 0.1 else NUMBERS) for _ in range(count)
+    )
+    left, right = rng.choice([("", ""), ("(", ")"), (" (", ") "), ("(", ""), ("", ")")])
+    return left + body + right
+
+
+def _outcome(parse, space, text):
+    try:
+        return parse(space, text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", ["C3:P2", "B2:P1", "A2:P1", "D3:P1"])
+def test_bundle_argument_parser_matches_the_two_pass_oracle(rng, name):
+    space = space_from_string(name)
+    for _ in range(5000):
+        text = _bundle_text(rng, space.rs.dim)
+        assert _outcome(_parse_bundle_arg, space, text) == _outcome(
+            two_pass_bundle_arg, space, text
+        ), text
