@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .roots import (
@@ -21,6 +20,7 @@ from .roots import (
     RootSystem,
     Subsystem,
     Weight,
+    _Record,
     _dot_action,
     build_root_system,
     is_dominant,
@@ -49,19 +49,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ParabolicSpace:
+class ParabolicSpace(_Record):
     """Quotient of a classical group by the parabolic with the given crossed nodes."""
 
-    rs: RootSystem
-    crossed: frozenset[int]
+    _fields = ("rs", "crossed")
 
-    def __post_init__(self) -> None:
-        if not self.crossed:
+    def __init__(self, rs: RootSystem, crossed: frozenset[int]) -> None:
+        if not crossed:
             raise ExcolError("at least one node must be crossed")
-        bad = [i for i in self.crossed if not 1 <= i <= self.rs.rank]
+        bad = [i for i in crossed if not 1 <= i <= rs.rank]
         if bad:
-            raise ExcolError(f"crossed nodes {bad} outside 1..{self.rs.rank}")
+            raise ExcolError(f"crossed nodes {bad} outside 1..{rs.rank}")
+        self._set(rs, crossed)
 
     @property
     def levi_mask(self) -> frozenset[int]:
@@ -106,20 +105,16 @@ def space_from_string(text: str) -> ParabolicSpace:
     return parabolic_space(family, rank, crossed)
 
 
-@dataclass(frozen=True)
-class BundleObject:
+class BundleObject(_Record):
     """Irreducible homogeneous bundle, possibly shifted in the derived category."""
 
-    space: ParabolicSpace
-    hw: Weight
-    shift: int = 0
+    _fields = ("space", "hw", "shift")
 
-    def __post_init__(self) -> None:
-        validate_weight(self.space.rs, self.hw)
-        if not is_dominant(self.space.levi, self.hw):
-            raise DominanceError(
-                f"{self.hw} is not dominant for the Levi of {self.space}"
-            )
+    def __init__(self, space: ParabolicSpace, hw: Weight, shift: int = 0) -> None:
+        validate_weight(space.rs, hw)
+        if not is_dominant(space.levi, hw):
+            raise DominanceError(f"{hw} is not dominant for the Levi of {space}")
+        self._set(space, hw, shift)
 
     @functools.cached_property
     def rank(self) -> int:
@@ -140,20 +135,20 @@ class BundleObject:
         return BundleObject(self.space, self.hw + line, self.shift)
 
     def shifted(self, k: int) -> "BundleObject":
-        return replace(self, shift=self.shift + k)
+        return BundleObject(self.space, self.hw, self.shift + k)
 
     def __str__(self) -> str:
         tail = f"[{self.shift}]" if self.shift else ""
         return f"E{self.hw}{tail}"
 
 
-@dataclass(frozen=True)
-class CohomologyAnswer:
+class CohomologyAnswer(_Record):
     """Cohomology of one irreducible bundle: zero, or one irrep in one degree."""
 
-    degree: int | None
-    dominant: Weight | None
-    dim: int
+    _fields = ("degree", "dominant", "dim")
+
+    def __init__(self, degree: int | None, dominant: Weight | None, dim: int) -> None:
+        self._set(degree, dominant, dim)
 
     @property
     def is_zero(self) -> bool:

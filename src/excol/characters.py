@@ -15,7 +15,6 @@ and clear_character_cache() empties both: no other answer is memoised.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
 
@@ -24,6 +23,7 @@ from .roots import (
     RootSystem,
     Subsystem,
     Weight,
+    _Record,
     _add,
     _dominantize,
     _dot,
@@ -48,13 +48,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(_Record):
     """Multiplicity map of a (virtual) finite-dimensional Levi representation."""
 
-    rs: RootSystem
-    mask: frozenset[int]
-    mults: Mapping[Weight, int]
+    _fields = ("rs", "mask", "mults")
+
+    def __init__(
+        self, rs: RootSystem, mask: frozenset[int], mults: Mapping[Weight, int]
+    ) -> None:
+        self._set(rs, mask, mults)
 
     def total_dim(self) -> int:
         return sum(self.mults.values())

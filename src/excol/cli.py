@@ -26,6 +26,7 @@ from .bwb import (
 from .homcalc import _as_kclass, gram_matrix, mutate_pair_k, thread_check
 from .collections import (
     CollectionSpec,
+    _json_rows,
     _kclass_json,
     _weight_json,
     build_beilinson,
@@ -157,12 +158,20 @@ def _cmd_gram(args) -> tuple:
     coll = _get_collection(args)
     gram = gram_matrix(list(coll.objects), method=args.method)
 
-    def text():
-        width = max(len(str(x)) for row in gram for x in row)
-        for k, row in enumerate(gram):
-            yield ("\n" if k else "") + " ".join(str(x).rjust(width) for x in row)
+    def document():
+        yield '{"labels": ' + json.dumps(list(coll.labels)) + ', "gram": ['
+        for k, row in enumerate(_json_rows(gram)):
+            yield (", " if k else "") + row
+        yield "]}"
 
-    return {"labels": list(coll.labels), "gram": gram}, text, 0
+    def text():
+        values = set().union(*gram)
+        width = max(len(str(v)) for v in values)
+        padded = {v: str(v).rjust(width) for v in values}.__getitem__
+        for k, row in enumerate(gram):
+            yield ("\n" if k else "") + " ".join(map(padded, row))
+
+    return document(), text, 0
 
 
 def _cmd_mutate(args) -> tuple:

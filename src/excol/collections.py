@@ -18,7 +18,6 @@ import functools
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .roots import (
@@ -27,6 +26,7 @@ from .roots import (
     ExcolError,
     ParseError,
     Weight,
+    _Record,
     validate_weight,
 )
 from .characters import dual_weight, tensor_decompose, weyl_dim
@@ -63,28 +63,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CollectionSpec:
+class CollectionSpec(_Record):
     """Ordered candidate collection on one space."""
 
-    space: ParabolicSpace
-    objects: tuple
-    mode: str
-    labels: tuple[str, ...]
-    provenance: str
+    _fields = ("space", "objects", "mode", "labels", "provenance")
 
-    def __post_init__(self) -> None:
-        if not self.objects:
+    def __init__(
+        self, space: ParabolicSpace, objects: tuple, mode: str, labels: tuple[str, ...],
+        provenance: str,
+    ) -> None:
+        if not objects:
             raise ExcolError("a collection must contain at least one object")
-        if self.mode not in ("bundles", "kclasses"):
-            raise ExcolError(f"unknown collection mode {self.mode!r}")
-        if len(self.labels) != len(self.objects):
+        if mode not in ("bundles", "kclasses"):
+            raise ExcolError(f"unknown collection mode {mode!r}")
+        if len(labels) != len(objects):
             raise ExcolError("labels and objects must have equal length")
-        for obj in self.objects:
-            if obj.space != self.space:
+        for obj in objects:
+            if obj.space != space:
                 raise ExcolError("all objects must live on the collection's space")
-            if self.mode == "bundles" and not isinstance(obj, BundleObject):
+            if mode == "bundles" and not isinstance(obj, BundleObject):
                 raise ExcolError(f"bundle mode cannot hold a {type(obj).__name__}")
+        self._set(space, objects, mode, labels, provenance)
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -262,13 +261,16 @@ def compose_fibration(
     )
 
 
-@dataclass(frozen=True)
-class PairResult:
-    row: int            # index of the Hom source (the later object)
-    col: int            # index of the Hom target (the earlier object)
-    ok: bool
-    evidence: str       # rendered nonzero Hom / pairing on failure
-    ordering_fixable: bool = False
+class PairResult(_Record):
+    """One check of verify: row indexes the Hom source (the later object), col
+    the target (the earlier), and evidence renders the Hom or pairing."""
+
+    _fields = ("row", "col", "ok", "evidence", "ordering_fixable")
+
+    def __init__(
+        self, row: int, col: int, ok: bool, evidence: str, ordering_fixable: bool = False
+    ) -> None:
+        self._set(row, col, ok, evidence, ordering_fixable)
 
 
 def _entry_json(r: PairResult) -> dict:
@@ -310,21 +312,20 @@ class _Results(Sequence):
         return (self._at(j, i) for i in range(n) for j in range(i + 1, n))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """What verify found; exceptional and semiorthogonal store the failures."""
 
-    collection: CollectionSpec
-    mode: str
-    exceptional: _Results
-    semiorthogonal: _Results
-    length: int
-    cells: int
-    gram: list[list[int]] = field(hash=False)  # the rows gram_matrix built
-    det: int
-    thread_ok: bool | None
-    thread_trace: tuple[str, ...]
-    wall_time: float
+    _fields = ("collection", "mode", "exceptional", "semiorthogonal", "length", "cells",
+               "gram", "det", "thread_ok", "thread_trace", "wall_time")
+    _unhashed = ("gram",)  # the rows gram_matrix built
+
+    def __init__(
+        self, collection: CollectionSpec, mode: str, exceptional: _Results,
+        semiorthogonal: _Results, length: int, cells: int, gram: list[list[int]], det: int,
+        thread_ok: bool | None, thread_trace: tuple[str, ...], wall_time: float,
+    ) -> None:
+        self._set(collection, mode, exceptional, semiorthogonal, length, cells, gram, det,
+                  thread_ok, thread_trace, wall_time)
 
     @property
     def length_ok(self) -> bool:
@@ -431,7 +432,6 @@ class VerificationReport:
         passing = ', "ok": true, "evidence": "0", "ordering_fixable": false}'
         heads = ['{"from": %d, "to": ' % j for j in range(n)]
         broken = {i for _, i in self.semiorthogonal.failures}
-        text = _Texts().__getitem__
 
         def column(i: int) -> str:
             tail = f"{i}{passing}"
@@ -443,7 +443,7 @@ class VerificationReport:
         lists = {
             "exceptional": [", ".join(failed.get((i, i)) or diag % i for i in range(n))],
             "semiorthogonal": map(column, range(n - 1)),
-            "gram": ("[" + ", ".join(map(text, row)) + "]" for row in self.gram),
+            "gram": _json_rows(self.gram),
         }
         for k, (key, value) in enumerate(self._json_fields().items()):
             yield ("{" if k == 0 else ", ") + dumps(key) + ": "
@@ -465,6 +465,12 @@ class _Texts(dict):
     def __missing__(self, v: int) -> str:
         text = self[v] = str(v)
         return text
+
+
+def _json_rows(gram: Sequence[Sequence[int]]) -> Iterator[str]:
+    """Each row of gram as a JSON list, each distinct value printed once."""
+    text = _Texts().__getitem__
+    return ("[" + ", ".join(map(text, row)) + "]" for row in gram)
 
 
 def verify(collection: CollectionSpec, mode: str = "exact") -> VerificationReport:

@@ -22,14 +22,13 @@ position (see thread_check), so only those preconditions are computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .roots import (
-    MAX_GRAM_OBJECTS, ExcolError, RootSystem, Weight, _pairings, _weyl_quotient,
-    subsystem, validate_weight, weyl_product,
+    MAX_GRAM_OBJECTS, ExcolError, RootSystem, Weight, _Record, _pairings,
+    _weyl_quotient, subsystem, validate_weight, weyl_product,
 )
 from .characters import irrep_character
 from .bwb import BundleObject, ParabolicSpace, graded_hom
@@ -46,16 +45,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KClass:
+class KClass(_Record):
     """Formal integer combination of line-weight classes on a fixed space."""
 
-    space: ParabolicSpace
-    terms: tuple[tuple[Weight, int], ...]
+    _fields = ("space", "terms")
 
-    def __post_init__(self) -> None:
-        for w, _ in self.terms:
-            validate_weight(self.space.rs, w)
+    def __init__(
+        self, space: ParabolicSpace, terms: tuple[tuple[Weight, int], ...]
+    ) -> None:
+        for w, _ in terms:
+            validate_weight(space.rs, w)
+        self._set(space, terms)
 
     @staticmethod
     def from_dict(space: ParabolicSpace, terms: Mapping[Weight, int]) -> "KClass":

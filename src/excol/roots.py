@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -78,10 +77,57 @@ class ParseError(ExcolError, ValueError):
     """Malformed textual input (space names, bundle names, documents)."""
 
 
-# not slots=True: on Python 3.11 a frozen slotted dataclass raises TypeError,
-# not AttributeError, when a non-field name such as coords is assigned
-@dataclass(frozen=True, init=False)
-class Weight:
+class _Record:
+    """Base of excol's immutable records.
+
+    A subclass names its fields, in order, in _fields, and its __init__
+    stores them once, through _set or object.__setattr__.  Records of one
+    class are equal when their fields are, hash as the tuple of their fields
+    less those named in _unhashed, and repr as Class(field=value, ...).
+    Assigning or deleting any attribute raises AttributeError.  There are no
+    __slots__: a cached_property fills the instance dict, and pickle and copy
+    restore that dict without setattr.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _unhashed: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls._fields
+        hashed = [f for f in cls._fields if f not in cls._unhashed]
+        # attrgetter of two or more names returns their tuple; Weight, the
+        # one record with a single field, writes its own __eq__ and __hash__
+        cls._key = operator.attrgetter(*cls._fields)
+        cls._hash_key = operator.attrgetter(*hashed)
+
+    def _set(self, *values) -> None:
+        # attribute by attribute: touching __dict__ would turn the instance's
+        # inline attribute values into a dict, and every later read slower
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other is self:  # what comparing its fields would say
+            return True
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._hash_key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Weight(_Record):
     """Immutable vector in epsilon coordinates, held as integers.
 
     num holds twice the coordinates.  Every weight of a classical group has
@@ -90,7 +136,7 @@ class Weight:
     do.  Coordinates outside (1/2)Z are refused with LatticeError.
     """
 
-    num: tuple[int, ...]
+    _fields = ("num",)
 
     def __init__(self, coords: Iterable[Fraction | int | str]) -> None:
         coords = tuple(coords)
@@ -116,6 +162,14 @@ class Weight:
     @property
     def dim(self) -> int:
         return len(self.num)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.num == other.num
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num,))
 
     def __repr__(self) -> str:
         return f"Weight(coords={self.coords!r})"
@@ -171,8 +225,7 @@ def _half_sum(roots: Sequence[Weight], dim: int) -> Weight:
     return _make(tuple(sum(a.num[k] for a in roots) // 2 for k in range(dim)))
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
+class RootSystem(_Record):
     """A classical root system with its simple and positive roots and rho.
 
     Only build_root_system constructs one, through a memo keyed on
@@ -180,12 +233,14 @@ class RootSystem:
     hashing are by identity.
     """
 
-    family: str
-    rank: int
-    dim: int
-    simple_roots: tuple[Weight, ...]
-    positive_roots: tuple[Weight, ...]
-    rho: Weight
+    _fields = ("family", "rank", "dim", "simple_roots", "positive_roots", "rho")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(
+        self, family: str, rank: int, dim: int, simple_roots: tuple[Weight, ...],
+        positive_roots: tuple[Weight, ...], rho: Weight,
+    ) -> None:
+        self._set(family, rank, dim, simple_roots, positive_roots, rho)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -322,8 +377,7 @@ def _int_root(alpha: Weight) -> IntRoot:
     return (i, j, a, b, 2 * a // norm, 2 * b // norm)
 
 
-@dataclass(frozen=True, eq=False)
-class Subsystem:
+class Subsystem(_Record):
     """The root subsystem spanned by a subset of simple roots (a Levi).
 
     simple_int and positive_int repeat the simple and positive roots as
@@ -333,14 +387,17 @@ class Subsystem:
     root system and the mask, so equality and hashing are by identity.
     """
 
-    rs: RootSystem
-    mask: frozenset[int]
-    simple_roots: tuple[Weight, ...]
-    positive_roots: tuple[Weight, ...]
-    rho: Weight
-    simple_int: tuple[IntRoot, ...]
-    positive_int: tuple[IntRoot, ...]
-    weyl_denominator: int
+    _fields = ("rs", "mask", "simple_roots", "positive_roots", "rho", "simple_int",
+               "positive_int", "weyl_denominator")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(
+        self, rs: RootSystem, mask: frozenset[int], simple_roots: tuple[Weight, ...],
+        positive_roots: tuple[Weight, ...], rho: Weight, simple_int: tuple[IntRoot, ...],
+        positive_int: tuple[IntRoot, ...], weyl_denominator: int,
+    ) -> None:
+        self._set(rs, mask, simple_roots, positive_roots, rho, simple_int,
+                  positive_int, weyl_denominator)
 
     def __reduce__(self):
         return _subsystem_cached, (self.rs, self.mask)

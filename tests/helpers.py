@@ -5,19 +5,23 @@ on honestly random Levi-dominant inputs instead of a handpicked list.  The
 oracles at the end are the searches and eliminations the library replaced
 with closed forms, the Fraction arithmetic it replaced with integers, the
 per-entry Gram kernel it replaced with shapes, the verification report
-that held every entry as a tuple, and the command line's two-pass parser of
-bundle arguments.
+that held every entry as a tuple, the command line's two-pass parser of
+bundle arguments, and the frozen dataclasses the records replaced.
 """
 
-import operator
-from fractions import Fraction
+from __future__ import annotations
 
+import operator
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Iterable, Mapping
+
+import excol
 from excol import (
-    BundleObject,
+    DominanceError,
     ExcolError,
-    KClass,
+    LatticeError,
     ParseError,
-    Weight,
     bundle_weight,
     cohomology,
     format_graded,
@@ -27,12 +31,16 @@ from excol import (
     kclass_of,
     make_dominant_dot,
     subsystem,
+    validate_weight,
     weyl_orbit,
     weyl_order,
 )
-from excol.collections import PairResult
+from excol.collections import _Results
 from excol.homcalc import _solve_unimodular
-from excol.roots import _pairings, _weyl_quotient, weyl_product
+from excol.roots import (
+    IntRoot, _pairings, _root_system_cached, _subsystem_cached, _weyl_quotient,
+    weyl_product,
+)
 
 
 def random_weight(rng, rs, span=4, half=False):
@@ -48,7 +56,7 @@ def random_weight(rng, rs, span=4, half=False):
         )
     else:
         coords = tuple(Fraction(rng.randint(-span, span)) for _ in range(rs.dim))
-    return Weight(coords)
+    return excol.Weight(coords)
 
 
 def random_levi_dominant(rng, space, span=4, half=False):
@@ -132,9 +140,11 @@ def spinor_constant_search(space):
     for numer in range(-9, 10, 2):
         c = Fraction(numer, 2)
         if n == 1:
-            candidates = [Weight((c,))]
+            candidates = [excol.Weight((c,))]
         else:
-            candidates = [Weight(tuple([c] + [half] * (n - 2) + [last])) for last in lasts]
+            candidates = [
+                excol.Weight(tuple([c] + [half] * (n - 2) + [last])) for last in lasts
+            ]
         if all(
             make_dominant_dot(rs, None, lam + hyper.scale(-t)) is None
             for lam in candidates
@@ -231,11 +241,11 @@ class _ListwiseTable(dict):
 
     def __init__(self, left, right):
         super().__init__()
-        lefts = [kclass_of(o) if isinstance(o, BundleObject) else o for o in left]
-        self.heads = all(isinstance(o, BundleObject) for o in (*left, *right))
+        lefts = [kclass_of(o) if isinstance(o, excol.BundleObject) else o for o in left]
+        self.heads = all(isinstance(o, excol.BundleObject) for o in (*left, *right))
         rights = [
-            KClass(o.space, ((o.hw, -1 if o.shift % 2 else 1),)) if self.heads
-            else kclass_of(o) if isinstance(o, BundleObject) else o
+            excol.KClass(o.space, ((o.hw, -1 if o.shift % 2 else 1),)) if self.heads
+            else kclass_of(o) if isinstance(o, excol.BundleObject) else o
             for o in right
         ]
         classes = lefts + rights
@@ -472,7 +482,7 @@ def fraction_is_dominant(sub, lam):
 
 
 def fraction_plain_dominantize(sub, v):
-    return Weight(_fdominantize(sub, v.coords))
+    return excol.Weight(_fdominantize(sub, v.coords))
 
 
 def fraction_weyl_orbit(sub, v):
@@ -489,7 +499,7 @@ def fraction_weyl_orbit(sub, v):
                     seen.add(r)
                     nxt.append(r)
         frontier = nxt
-    return {Weight(u) for u in seen}
+    return {excol.Weight(u) for u in seen}
 
 
 def fraction_make_dominant_dot(rs, mask, lam):
@@ -505,7 +515,7 @@ def fraction_make_dominant_dot(rs, mask, lam):
         if p < 0:
             length += 1
     dom = _fdominantize(sub, v)
-    return length, Weight(tuple(x - r for x, r in zip(dom, rho)))
+    return length, excol.Weight(tuple(x - r for x, r in zip(dom, rho)))
 
 
 def fraction_weyl_dim(rs, mask, lam):
@@ -563,7 +573,7 @@ def fraction_freudenthal(rs, mask, lam):
         mult[mu] = int(val)
     full = {}
     for mu, m in mult.items():
-        for w in fraction_weyl_orbit(sub, Weight(mu)):
+        for w in fraction_weyl_orbit(sub, excol.Weight(mu)):
             full[w] = m
     return full
 
@@ -593,17 +603,17 @@ def tuple_results(collection, mode, gram):
     PairResult, in verify's order.  Exact mode computes every Hom: a line
     pair through a per-call table of the cohomology of each weight
     difference, any other pair through graded_hom."""
-    objs = collection.objects
+    result, objs = excol.collections.PairResult, collection.objects
     n = len(objs)
     backward = [(j, i) for i in range(n) for j in range(i + 1, n)]
     if mode == "chi_only":
         exceptional = tuple(
-            PairResult(i, i, gram[i][i] == 1, f"chi = {gram[i][i]}") for i in range(n)
+            result(i, i, gram[i][i] == 1, f"chi = {gram[i][i]}") for i in range(n)
         )
         semiorthogonal = tuple(
-            PairResult(j, i, True, "0")
+            result(j, i, True, "0")
             if gram[j][i] == 0
-            else PairResult(j, i, False, f"chi = {gram[j][i]}", gram[i][j] == 0)
+            else result(j, i, False, f"chi = {gram[j][i]}", gram[i][j] == 0)
             for j, i in backward
         )
         return exceptional, semiorthogonal
@@ -624,10 +634,10 @@ def tuple_results(collection, mode, gram):
         return False, format_graded(dims), not hom(dst, src)
 
     exceptional = tuple(
-        PairResult(i, i, hom(o, o) == {0: 1}, format_graded(hom(o, o)))
+        result(i, i, hom(o, o) == {0: 1}, format_graded(hom(o, o)))
         for i, o in enumerate(objs)
     )
-    semiorthogonal = tuple(PairResult(j, i, *pair(objs[j], objs[i])) for j, i in backward)
+    semiorthogonal = tuple(result(j, i, *pair(objs[j], objs[i])) for j, i in backward)
     return exceptional, semiorthogonal
 
 
@@ -746,7 +756,7 @@ def parse_weight_literal(space, text):
         raise ParseError(
             f"weight {text!r} has {len(coords)} coordinates; {space} needs {space.rs.dim}"
         )
-    return Weight(coords)
+    return excol.Weight(coords)
 
 
 def looks_like_weight(text):
@@ -766,3 +776,156 @@ def two_pass_bundle_arg(space, text):
     if looks_like_weight(text):
         return parse_weight_literal(space, text)
     return bundle_weight(space, text)
+
+
+# The frozen dataclasses excol's records replaced, declared as they were.  A
+# record's checks ran in __post_init__, against excol's own classes.
+
+
+@dataclass(frozen=True, init=False)
+class Weight:
+    num: tuple[int, ...]
+
+    def __init__(self, coords: Iterable[Fraction | int | str]) -> None:
+        coords = tuple(coords)
+        if all(type(c) is int for c in coords):  # not bool, float, str or Fraction
+            num = tuple(2 * c for c in coords)
+        else:
+            fracs = [Fraction(c) for c in coords]
+            if any(f.denominator > 2 for f in fracs):
+                shown = ", ".join(map(str, fracs))
+                raise LatticeError(f"coordinates of ({shown}) have denominators beyond 2")
+            num = tuple(f.numerator * (2 // f.denominator) for f in fracs)
+        object.__setattr__(self, "num", num)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, 2) for x in self.num)
+
+    def __repr__(self) -> str:
+        return f"Weight(coords={self.coords!r})"
+
+
+@dataclass(frozen=True, eq=False)
+class RootSystem:
+    family: str
+    rank: int
+    dim: int
+    simple_roots: tuple[Weight, ...]
+    positive_roots: tuple[Weight, ...]
+    rho: Weight
+
+    def __reduce__(self):
+        return _root_system_cached, (self.family, self.rank)
+
+
+@dataclass(frozen=True, eq=False)
+class Subsystem:
+    rs: RootSystem
+    mask: frozenset[int]
+    simple_roots: tuple[Weight, ...]
+    positive_roots: tuple[Weight, ...]
+    rho: Weight
+    simple_int: tuple[IntRoot, ...]
+    positive_int: tuple[IntRoot, ...]
+    weyl_denominator: int
+
+    def __reduce__(self):
+        return _subsystem_cached, (self.rs, self.mask)
+
+
+@dataclass(frozen=True)
+class Character:
+    rs: RootSystem
+    mask: frozenset[int]
+    mults: Mapping[Weight, int]
+
+
+@dataclass(frozen=True)
+class ParabolicSpace:
+    rs: RootSystem
+    crossed: frozenset[int]
+
+    def __post_init__(self) -> None:
+        if not self.crossed:
+            raise ExcolError("at least one node must be crossed")
+        bad = [i for i in self.crossed if not 1 <= i <= self.rs.rank]
+        if bad:
+            raise ExcolError(f"crossed nodes {bad} outside 1..{self.rs.rank}")
+
+
+@dataclass(frozen=True)
+class BundleObject:
+    space: ParabolicSpace
+    hw: Weight
+    shift: int = 0
+
+    def __post_init__(self) -> None:
+        validate_weight(self.space.rs, self.hw)
+        if not is_dominant(self.space.levi, self.hw):
+            raise DominanceError(
+                f"{self.hw} is not dominant for the Levi of {self.space}"
+            )
+
+
+@dataclass(frozen=True)
+class CohomologyAnswer:
+    degree: int | None
+    dominant: Weight | None
+    dim: int
+
+
+@dataclass(frozen=True)
+class KClass:
+    space: ParabolicSpace
+    terms: tuple[tuple[Weight, int], ...]
+
+    def __post_init__(self) -> None:
+        for w, _ in self.terms:
+            validate_weight(self.space.rs, w)
+
+
+@dataclass(frozen=True)
+class CollectionSpec:
+    space: ParabolicSpace
+    objects: tuple
+    mode: str
+    labels: tuple[str, ...]
+    provenance: str
+
+    def __post_init__(self) -> None:
+        if not self.objects:
+            raise ExcolError("a collection must contain at least one object")
+        if self.mode not in ("bundles", "kclasses"):
+            raise ExcolError(f"unknown collection mode {self.mode!r}")
+        if len(self.labels) != len(self.objects):
+            raise ExcolError("labels and objects must have equal length")
+        for obj in self.objects:
+            if obj.space != self.space:
+                raise ExcolError("all objects must live on the collection's space")
+            if self.mode == "bundles" and not isinstance(obj, excol.BundleObject):
+                raise ExcolError(f"bundle mode cannot hold a {type(obj).__name__}")
+
+
+@dataclass(frozen=True)
+class PairResult:
+    row: int            # index of the Hom source (the later object)
+    col: int            # index of the Hom target (the earlier object)
+    ok: bool
+    evidence: str       # rendered nonzero Hom / pairing on failure
+    ordering_fixable: bool = False
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    collection: CollectionSpec
+    mode: str
+    exceptional: _Results
+    semiorthogonal: _Results
+    length: int
+    cells: int
+    gram: list[list[int]] = field(hash=False)  # the rows gram_matrix built
+    det: int
+    thread_ok: bool | None
+    thread_trace: tuple[str, ...]
+    wall_time: float

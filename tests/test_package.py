@@ -1,7 +1,9 @@
-"""The package surface: one public name list, and the standard library only."""
+"""The package surface: one public name list, the standard library only, and
+a start-up that loads neither dataclasses nor inspect."""
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 import excol
@@ -45,3 +47,15 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # each excol command is a fresh process, and these two modules, with the
+    # ast, dis and tokenize that inspect pulls in, were most of its start-up
+    src = str(pathlib.Path(excol.__file__).parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import excol, excol.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    run = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
