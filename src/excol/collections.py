@@ -17,6 +17,7 @@ import bisect
 import functools
 import itertools
 import json
+import operator
 import time
 from typing import Iterable, Iterator, Sequence
 
@@ -27,6 +28,7 @@ from .roots import (
     ParseError,
     Weight,
     _Record,
+    _make,
     validate_weight,
 )
 from .characters import dual_weight, tensor_decompose, weyl_dim
@@ -146,20 +148,28 @@ def build_symplectic_flag(n: int) -> CollectionSpec:
     )
 
 
-def _orthogonal_level_choices(n: int, m: int) -> list[tuple[str, dict[Weight, int]]]:
-    """Per-level menu for the odd orthogonal flag tower, spinor first."""
+def _orthogonal_level_choices(n: int, m: int) -> list[tuple[str, dict]]:
+    """Per-level menu for the odd orthogonal flag tower, spinor first; each
+    class maps its line weights' doubled coordinates to their coefficients."""
     d = 2 * n - 2 * m - 1
-    spinor: dict[Weight, int] = {}
-    for signs in itertools.product(("1/2", "-1/2"), repeat=n - m - 1):
-        w = Weight(["-1/2"] * m + [f"{1 - 2 * d}/2", *signs])
-        spinor[w] = spinor.get(w, 0) + 1
-    out: list[tuple[str, dict[Weight, int]]] = [(f"Sig{m}", spinor)]
+    signs = itertools.product((1, -1), repeat=n - m - 1)
+    out = [(f"Sig{m}", {(-1,) * m + (1 - 2 * d, *s): 1 for s in signs})]
     for j in range(-(d - 1), 1):
-        coords = [0] * n
-        coords[m] = j
         label = "" if j == 0 else (f"O_Q({j})" if m == 0 else f"O_M{m}({j})")
-        out.append((label, {Weight(coords): 1}))
+        out.append((label, {tuple(2 * j * (k == m) for k in range(n)): 1}))
     return out
+
+
+def _times(prefixes: Iterable[tuple], menu: list) -> Iterator[tuple[dict, tuple]]:
+    """Each (class, labels) prefix times each choice of a level menu, in order."""
+    for terms, bits in prefixes:
+        for label, factor in menu:
+            out: dict[tuple[int, ...], int] = {}
+            for a, ca in terms.items():
+                for b, cb in factor.items():
+                    w = tuple(map(operator.add, a, b))
+                    out[w] = out.get(w, 0) + ca * cb
+            yield out, bits + (label,) if label else bits
 
 
 def build_orthogonal_flag(n: int) -> CollectionSpec:
@@ -169,30 +179,22 @@ def build_orthogonal_flag(n: int) -> CollectionSpec:
     objects are recorded by their line-weight multisets.  Each level of the
     quadric tower contributes one relative spinor class or one twist; the
     top level varies slowest, twists ascend to O, and the leftmost object is
-    the product of all spinor classes.
+    the product of all spinor classes.  The classes are built prefix by
+    prefix: each level's menu multiplies every product of the levels above.
     """
     if n < 2:
         raise ExcolError("orthogonal flags need n >= 2")
     if n > MAX_ORTHOGONAL_RANK:  # 2^n n! objects
         raise ExcolError(f"orthogonal:{n} exceeds the limit n = {MAX_ORTHOGONAL_RANK}")
     space = parabolic_space("B", n, range(1, n + 1))
-    menus = [_orthogonal_level_choices(n, m) for m in range(n)]
-    objects = []
-    names = []
-    for picks in itertools.product(*reversed(menus)):
-        terms: dict[Weight, int] = {Weight([0] * n): 1}
-        bits = []
-        for label, mults in picks:
-            nxt: dict[Weight, int] = {}
-            for w0, c0 in terms.items():
-                for w1, c1 in mults.items():
-                    w = w0 + w1
-                    nxt[w] = nxt.get(w, 0) + c0 * c1
-            terms = nxt
-            if label:
-                bits.append(label)
-        objects.append(KClass.from_dict(space, terms))
-        names.append("*".join(bits) if bits else "O")
+    # one generator per level, so a prefix lives only while its products are made
+    prefixes: Iterable[tuple] = [({(0,) * n: 1}, ())]
+    for m in reversed(range(n)):
+        prefixes = _times(prefixes, _orthogonal_level_choices(n, m))
+    objects, names = [], []
+    for terms, bits in prefixes:
+        objects.append(KClass(space, tuple((_make(w), c) for w, c in sorted(terms.items()))))
+        names.append("*".join(bits) or "O")
     return CollectionSpec(
         space, tuple(objects), "kclasses", tuple(names), f"orthogonal:{n}"
     )
@@ -391,28 +393,12 @@ class VerificationReport(_Record):
         lines.append(f"wall time: {self.wall_time:.2f}s")
         return "\n".join(lines)
 
-    def _json_fields(self) -> dict:
-        """to_json_dict, with None in place of its three lists."""
-        space = self.collection.space
-        return {
-            "provenance": self.collection.provenance, "space": _space_json(space),
-            "mode": self.mode, "exceptional": None, "semiorthogonal": None,
-            "length": self.length, "cells": self.cells, "gram": None, "det": self.det,
-            "thread": self.thread_ok, "thread_trace": list(self.thread_trace),
-            "summary": self.summary_line(), "verdict": self.verdict,
-            "wall_time": self.wall_time,
-        }
-
     def to_json_dict(self) -> dict:
-        return {
-            **self._json_fields(),
-            "exceptional": list(map(_entry_json, self.exceptional)),
-            "semiorthogonal": list(map(_entry_json, self.semiorthogonal)),
-            "gram": [list(row) for row in self.gram],
-        }
+        """The report's JSON document, parsed from its one rendering."""
+        return json.loads("".join(self.json_chunks()))
 
     def json_chunks(self) -> Iterator[str]:
-        """json.dumps(self.to_json_dict()) in pieces of about one Gram row.
+        """The report's JSON document in pieces of about one Gram row.
 
         A passing entry is printed from a template, so none is ever built.
         A semiorthogonal column i with no failure, the entries (j, i) for
@@ -427,9 +413,9 @@ class VerificationReport(_Record):
             for view in (self.exceptional, self.semiorthogonal)
             for cell, r in view.failures.items()
         }
-        evidence = dumps(self.exceptional.evidence)
-        diag = '{"index": %d, "ok": true, "evidence": ' + evidence + "}"
-        passing = ', "ok": true, "evidence": "0", "ordering_fixable": false}'
+        evidence = dumps(self.exceptional.evidence), dumps(self.semiorthogonal.evidence)
+        diag = '{"index": %d, "ok": true, "evidence": ' + evidence[0] + "}"
+        passing = ', "ok": true, "evidence": ' + evidence[1] + ', "ordering_fixable": false}'
         heads = ['{"from": %d, "to": ' % j for j in range(n)]
         broken = {i for _, i in self.semiorthogonal.failures}
 
@@ -439,19 +425,25 @@ class VerificationReport(_Record):
                 return (tail + ", ").join(heads[i + 1:]) + tail
             return ", ".join(failed.get((j, i)) or heads[j] + tail for j in range(i + 1, n))
 
-        # each list as nonempty chunks of its entries
-        lists = {
+        fields = {
+            "provenance": self.collection.provenance,
+            "space": _space_json(self.collection.space), "mode": self.mode,
+            # each list as nonempty chunks of its entries
             "exceptional": [", ".join(failed.get((i, i)) or diag % i for i in range(n))],
             "semiorthogonal": map(column, range(n - 1)),
-            "gram": _json_rows(self.gram),
+            "length": self.length, "cells": self.cells, "gram": _json_rows(self.gram),
+            "det": self.det, "thread": self.thread_ok,
+            "thread_trace": list(self.thread_trace), "summary": self.summary_line(),
+            "verdict": self.verdict, "wall_time": self.wall_time,
         }
-        for k, (key, value) in enumerate(self._json_fields().items()):
+        lists = ("exceptional", "semiorthogonal", "gram")
+        for k, (key, value) in enumerate(fields.items()):
             yield ("{" if k == 0 else ", ") + dumps(key) + ": "
             if key not in lists:
                 yield dumps(value)
                 continue
             yield "["
-            for m, chunk in enumerate(lists[key]):
+            for m, chunk in enumerate(value):
                 if m:
                     yield ", "
                 yield chunk
@@ -512,15 +504,13 @@ def verify(collection: CollectionSpec, mode: str = "exact") -> VerificationRepor
     higher_rank = {k for k, obj in enumerate(objs) if obj.rank != 1} if exact else set()
     space = collection.space
     dual = functools.cache(lambda k: dual_weight(space.rs, space.levi_mask, objs[k].hw))
-    cohomologies: dict[Weight, dict[int, int]] = {}
+    dims_of = functools.cache(lambda hw: cohomology(space, hw).dims())
 
     def evidence(j: int, i: int) -> str:
         """Hom*(E_j, E_i) with a line on one side: H* of E_j^* (x) E_i, shifted."""
-        hw = dual(j) + objs[i].hw
-        if hw not in cohomologies:
-            cohomologies[hw] = cohomology(space, hw).dims()
         offset = objs[j].shift - objs[i].shift
-        return format_graded({k + offset: d for k, d in cohomologies[hw].items()})
+        dims = dims_of(dual(j) + objs[i].hw)
+        return format_graded({k + offset: d for k, d in dims.items()})
 
     def failure(j: int, i: int) -> PairResult | None:
         """The result for Hom(E_j, E_i) if that entry fails, else None."""

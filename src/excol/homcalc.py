@@ -27,7 +27,7 @@ from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .roots import (
-    MAX_GRAM_OBJECTS, ExcolError, RootSystem, Weight, _Record, _pairings,
+    MAX_GRAM_OBJECTS, ExcolError, RootSystem, Weight, _Record, _make, _pairings,
     _weyl_quotient, subsystem, validate_weight, weyl_product,
 )
 from .characters import irrep_character
@@ -98,15 +98,8 @@ class KClass(_Record):
 
 
 def kclass_of(obj: BundleObject) -> KClass:
-    """K-theory class of a bundle: its Levi character, signed by shift parity.
-
-    A line bundle's character is its one weight, so Freudenthal is skipped.
-    """
-    sign = -1 if obj.shift % 2 else 1
-    if obj.rank == 1:
-        return KClass(obj.space, ((obj.hw, sign),))
-    char = irrep_character(obj.space.rs, obj.space.levi_mask, obj.hw)
-    return KClass.from_dict(obj.space, {w: sign * m for w, m in char.mults.items()})
+    """K-theory class of a bundle: its Levi character, signed by shift parity."""
+    return KClass(obj.space, tuple((_make(n), c) for n, c in sorted(_terms(obj, False))))
 
 
 def chi_line(rs: RootSystem, nu: Weight) -> int:
@@ -121,7 +114,8 @@ def _as_kclass(obj: "BundleObject | KClass") -> KClass:
 
 def _terms(obj: "BundleObject | KClass", head: bool) -> list[tuple[tuple[int, ...], int]]:
     """An object's (num, coeff) terms: a K-class's own, or a bundle's Levi
-    character signed by its shift parity, only its highest weight if head."""
+    character signed by its shift parity, only its highest weight if head.
+    A line bundle's character is its one weight, so Freudenthal is skipped."""
     if isinstance(obj, KClass):
         return [(w.num, c) for w, c in obj.terms]
     sign = -1 if obj.shift % 2 else 1
@@ -166,20 +160,17 @@ class _ChiTable(dict):
         if any(o.space != objs[0].space for o in objs):
             raise ExcolError("Euler pairing needs both classes on the same space")
         heads = all(isinstance(o, BundleObject) for o in objs)
-        lefts = [_terms(o, False) for o in left]
-        # a Gram matrix pairs a list of classes with itself
-        same = right is left and not heads
-        rights = lefts if same else [_terms(o, heads) for o in right]
-        nums = {n for side in (lefts, rights) for terms in side for n, _ in terms}
+        sides = ([_terms(o, False) for o in left], [_terms(o, heads) for o in right])
+        nums = {n for side in sides for terms in side for n, _ in terms}
         spread = max((max(c) - min(c) for c in zip(*nums)), default=0)
-        keys = {n: sum(x * (2 * spread + 1) ** i for i, x in enumerate(n)) for n in nums}
+        radix = [(2 * spread + 1) ** i for i in range(max(map(len, nums), default=0))]
+        keys = {n: sum(map(mul, n, radix)) for n in nums}
         # (shape index, offset) of each object; shapes[1] indexes the right shapes
         shapes: tuple[dict, dict] = ({}, {})
-        self.left = [_shape([(keys[n], c) for n, c in t], shapes[0]) for t in lefts]
-        if same:
-            self.right, shapes = self.left, (shapes[0], shapes[0])
-        else:
-            self.right = [_shape([(keys[n], c) for n, c in t], shapes[1]) for t in rights]
+        self.left, self.right = (
+            [_shape([(keys[n], c) for n, c in t], known) for t in side]
+            for side, known in zip(sides, shapes)
+        )
         if objs:
             full = subsystem(objs[0].space.rs)
             self.denominator = full.weyl_denominator

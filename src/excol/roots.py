@@ -29,12 +29,13 @@ FAMILIES = ("A", "B", "C", "D")
 MAX_RANK = 20
 
 # Largest n of the flag builders, which make 2^n n! objects.  On a 2-CPU host
-# symplectic:7 (645,120 lines) builds in 13-19 s and 344 MB, symplectic:8 not in
-# 60 s; orthogonal:6 (46,080 classes) in 7.1 s and 204 MB, orthogonal:7 not in 65 s.
+# symplectic:7 (645,120 lines) builds in 12 s and 344 MB, symplectic:8 not in 60 s;
+# orthogonal:6 (46,080 classes) in 3.6-3.9 s and 204 MB (4.4 KB a class).
 MAX_SYMPLECTIC_RANK = 7
 MAX_ORTHOGONAL_RANK = 6
-# Most objects gram_matrix accepts.  verify on 3,840 (rank 5) takes 6-7.5 s and
-# 0.3 GB, growing with the n^2 entries; rank 6's 46,080 would need at least 17 GB.
+# Most objects gram_matrix accepts.  verify on 3,840 (rank 5) takes 2.7-3.0 s and
+# 149 MB (symplectic:5), 17 s and 249 MB (orthogonal:5, chi_only), growing with the
+# n^2 entries; rank 6's 46,080 would need at least 17 GB.
 MAX_GRAM_OBJECTS = 10_000
 
 __all__ = [
@@ -542,11 +543,11 @@ def weyl_product(sub: Subsystem, lam: Weight) -> int:
 
 
 def _weyl_quotient(factors: Iterable[int], denominator: int) -> int:
-    """prod factors / denominator, where the factors are 2 <nu + rho, a^vee>
-    over the positive roots and the denominator is the same product at nu = 0:
-    Weyl's polynomial at nu, an exact integer on lattice weights."""
+    """prod factors / denominator, an exact quotient.  With the factors
+    2 <nu + rho, a^vee> over the positive roots and the denominator the same
+    product at nu = 0, it is Weyl's polynomial at the lattice weight nu."""
     val, rest = divmod(math.prod(factors), denominator)
-    assert rest == 0, "Weyl's polynomial must be an integer on lattice weights"
+    assert rest == 0, "the quotient must be an exact integer"
     return val
 
 
@@ -569,9 +570,8 @@ def parabolic_cell_count(rs: RootSystem, levi_mask: Iterable[int]) -> int:
     """
     sub = subsystem(rs, _validate_mask(rs, levi_mask))
     # each pairing is twice the height of the coroot
-    num = math.prod(p + 2 for p in _pairings(sub.positive_int, sub.rho.num))
-    order, rest = divmod(num, sub.weyl_denominator)
-    assert rest == 0, "Macdonald's product must be an integer"
+    pairings = _pairings(sub.positive_int, sub.rho.num)
+    order = _weyl_quotient((p + 2 for p in pairings), sub.weyl_denominator)
     total = weyl_order(rs)
     assert total % order == 0, "Levi order must divide the Weyl order"
     return total // order

@@ -5,12 +5,15 @@ on honestly random Levi-dominant inputs instead of a handpicked list.  The
 oracles at the end are the searches and eliminations the library replaced
 with closed forms, the Fraction arithmetic it replaced with integers, the
 per-entry Gram kernel it replaced with shapes, the verification report
-that held every entry as a tuple, the command line's two-pass parser of
-bundle arguments, and the frozen dataclasses the records replaced.
+that held every entry as a tuple, the report's JSON document built as a
+dict, a bundle's K-class through KClass.from_dict, the orthogonal flag
+builder that multiplied each object out alone, the command line's two-pass
+parser of bundle arguments, and the frozen dataclasses the records replaced.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -736,6 +739,84 @@ def tuple_json_dict(report, exceptional, semiorthogonal):
         "verdict": "complete-candidate" if passed else "failed",
         "wall_time": report.wall_time,
     }
+
+
+# ----------------------------------------------------------------------
+# Oracles: the report's JSON document built as a dict beside its stream, a
+# bundle's K-class through KClass.from_dict, and the orthogonal flag builder
+# that parsed each level's weights from strings and multiplied every object
+# out level by level.
+
+
+def fields_json_dict(report):
+    """The report's JSON document, built field by field from its views."""
+    entry = excol.collections._entry_json
+    return {
+        "provenance": report.collection.provenance,
+        "space": excol.collections._space_json(report.collection.space),
+        "mode": report.mode,
+        "exceptional": list(map(entry, report.exceptional)),
+        "semiorthogonal": list(map(entry, report.semiorthogonal)),
+        "length": report.length,
+        "cells": report.cells,
+        "gram": [list(row) for row in report.gram],
+        "det": report.det,
+        "thread": report.thread_ok,
+        "thread_trace": list(report.thread_trace),
+        "summary": report.summary_line(),
+        "verdict": report.verdict,
+        "wall_time": report.wall_time,
+    }
+
+
+def from_dict_kclass_of(obj):
+    """K-class of a bundle: its Levi character, signed by shift parity."""
+    sign = -1 if obj.shift % 2 else 1
+    if obj.rank == 1:
+        return excol.KClass(obj.space, ((obj.hw, sign),))
+    char = irrep_character(obj.space.rs, obj.space.levi_mask, obj.hw)
+    return excol.KClass.from_dict(obj.space, {w: sign * m for w, m in char.mults.items()})
+
+
+def _string_level_choices(n, m):
+    """Per-level menu for the odd orthogonal flag tower, spinor first."""
+    d = 2 * n - 2 * m - 1
+    spinor = {}
+    for signs in itertools.product(("1/2", "-1/2"), repeat=n - m - 1):
+        w = excol.Weight(["-1/2"] * m + [f"{1 - 2 * d}/2", *signs])
+        spinor[w] = spinor.get(w, 0) + 1
+    out = [(f"Sig{m}", spinor)]
+    for j in range(-(d - 1), 1):
+        coords = [0] * n
+        coords[m] = j
+        label = "" if j == 0 else (f"O_Q({j})" if m == 0 else f"O_M{m}({j})")
+        out.append((label, {excol.Weight(coords): 1}))
+    return out
+
+
+def picks_orthogonal_flag(n):
+    """build_orthogonal_flag, each object multiplied out from its own picks."""
+    space = excol.parabolic_space("B", n, range(1, n + 1))
+    menus = [_string_level_choices(n, m) for m in range(n)]
+    objects = []
+    names = []
+    for picks in itertools.product(*reversed(menus)):
+        terms = {excol.Weight([0] * n): 1}
+        bits = []
+        for label, mults in picks:
+            nxt = {}
+            for w0, c0 in terms.items():
+                for w1, c1 in mults.items():
+                    w = w0 + w1
+                    nxt[w] = nxt.get(w, 0) + c0 * c1
+            terms = nxt
+            if label:
+                bits.append(label)
+        objects.append(excol.KClass.from_dict(space, terms))
+        names.append("*".join(bits) if bits else "O")
+    return excol.CollectionSpec(
+        space, tuple(objects), "kclasses", tuple(names), f"orthogonal:{n}"
+    )
 
 
 # ----------------------------------------------------------------------

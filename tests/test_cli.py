@@ -13,6 +13,7 @@ from excol import (
     CollectionSpec,
     build_beilinson,
     build_igr26,
+    build_orthogonal_flag,
     build_symplectic_flag,
     dump_collection,
 )
@@ -216,6 +217,25 @@ class TestCollectionCommands:
         assert "FAIL pair" in out
         assert "[ordering-fixable]" in out
 
+    def test_verify_text_names_a_failing_object(self, capsys, tmp_path):
+        # a K-class scaled by 2 pairs with itself to 4
+        doc = dump_collection(build_orthogonal_flag(2))
+        terms = doc["objects"][1]["terms"]
+        doc["objects"][1]["terms"] = [dict(t, coeff=2 * t["coeff"]) for t in terms]
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "verify", "--file", str(path), "--mode", "chi_only")
+        assert (rc, err) == (1, "")
+        assert out.splitlines()[:-1] == [
+            "collection orthogonal:2 on B2:P1,2 (chi_only mode)",
+            "FAIL object Sig1*O_Q(-2): End = chi = 4",
+            "FAIL Gram determinant 4 is not a unit",
+            "7/8 exceptional, 28/28 semiorthogonal, length=cells=8, det=4, "
+            "thread=skipped",
+            "verdict: failed (necessary conditions only)",
+        ]
+        assert out.splitlines()[-1].startswith("wall time: ")
+
     def test_verify_chi_only_kclasses(self, capsys):
         rc, out, _ = run(
             capsys, "verify", "--builder", "orthogonal:2", "--mode", "chi_only",
@@ -268,6 +288,13 @@ class TestExitCodes:
         monkeypatch.setattr("sys.stdin", io.StringIO("{not json"))
         rc, _, _ = run(capsys, "verify", "--stdin")
         assert rc == 2
+
+    def test_parse_error_unknown_collection_mode(self, capsys, tmp_path):
+        doc = dict(dump_collection(build_beilinson(1)), mode="sheaves")
+        path = tmp_path / "mode.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "verify", "--file", str(path))
+        assert (rc, out, err) == (2, "", "error: unknown collection mode 'sheaves'\n")
 
     def test_parse_error_missing_file(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "verify", "--file", str(tmp_path / "nope.json"))

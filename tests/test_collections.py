@@ -554,6 +554,24 @@ class TestComposeFibration:
             compose_fibration(base, flag, [weight(0, 0, 0)])
         assert "filtered" in str(err.value)
 
+    def test_rejects_another_root_system(self):
+        flag = parabolic_space("C", 3, [1, 2])
+        with pytest.raises(ExcolError) as err:
+            compose_fibration(build_beilinson(2), flag, [weight(0, 0, 0)])
+        assert str(err.value) == "base and total space must share the root system"
+
+    def test_rejects_a_reducible_tensor_product(self):
+        # Q stays irreducible on A3:P1,2, but Q (x) Q = S^2 Q + Lambda^2 Q there
+        space = parabolic_space("A", 3, [2])
+        q = BundleObject(space, weight(0, 0, 1, 0))
+        base = CollectionSpec(space, (q,), "bundles", ("Q",), "q")
+        flag = parabolic_space("A", 3, [1, 2])
+        with pytest.raises(ExcolError) as err:
+            compose_fibration(base, flag, [weight(0, 0, 1, 0)])
+        assert str(err.value) == (
+            "tensor of (0, 0, 1, 0) with twist (0, 0, 1, 0) is not irreducible on A3:P1,2"
+        )
+
     def test_requires_a_twist(self):
         base = build_igr26()
         flag = parabolic_space("C", 3, [1, 2])

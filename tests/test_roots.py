@@ -16,18 +16,20 @@ from excol import (
     LatticeError,
     Weight,
     build_root_system,
+    coroot_pairing,
     is_dominant,
     make_dominant_dot,
     parabolic_cell_count,
     parabolic_space,
     plain_dominantize,
+    reflect,
     subsystem,
     validate_weight,
     weight,
     weyl_orbit,
     weyl_order,
 )
-from excol.roots import MAX_RANK, ExcolError
+from excol.roots import MAX_RANK, ExcolError, _pairings
 
 from helpers import random_weight
 
@@ -355,6 +357,24 @@ def test_weight_arithmetic():
     assert str(weight(-5, -5, 0)) == "(-5, -5, 0)"
     with pytest.raises(ValueError):
         a + weight(1, 2)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_reflect_is_the_coroot_reflection(family, rank, rng):
+    # by coordinates: <v, a^vee> = 2 (v, a) / (a, a), and s_a v = v - <v, a^vee> a
+    rs = build_root_system(family, rank)
+    halves = [False, True] if family in "BD" else [False]
+    weights = [random_weight(rng, rs, span=5, half=h) for h in halves for _ in range(8)]
+    for v in weights + [rs.rho]:
+        pairings = _pairings(subsystem(rs).positive_int, v.num)
+        for alpha, doubled in zip(rs.positive_roots, pairings):
+            p = coroot_pairing(v, alpha)
+            dot = sum(x * a for x, a in zip(v.coords, alpha.coords))
+            assert p == 2 * dot / sum(a * a for a in alpha.coords) == Fraction(doubled, 2)
+            image = reflect(v, alpha)
+            assert image.coords == tuple(x - p * a for x, a in zip(v.coords, alpha.coords))
+            assert reflect(image, alpha) == v
+            assert coroot_pairing(alpha, alpha) == 2
 
 
 def test_root_systems_and_subsystems_are_interned():
