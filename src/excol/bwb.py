@@ -9,19 +9,18 @@ uses the dot action over the Levi of the base.
 
 from __future__ import annotations
 
-import functools
 import re
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .roots import (
     DominanceError,
     ExcolError,
     ParseError,
     RootSystem,
-    Subsystem,
     Weight,
     _Record,
     _dot_action,
+    _make,
     build_root_system,
     is_dominant,
     make_dominant_dot,
@@ -30,7 +29,7 @@ from .roots import (
     validate_weight,
     weight,
 )
-from .characters import _weyl_dim_cached, dual_weight, tensor_decompose, weyl_dim
+from .characters import _weyl_dim_cached, dual_weight, tensor_decompose
 
 __all__ = [
     "ParabolicSpace",
@@ -50,7 +49,9 @@ __all__ = [
 
 
 class ParabolicSpace(_Record):
-    """Quotient of a classical group by the parabolic with the given crossed nodes."""
+    """Quotient of a classical group by the parabolic with the given crossed nodes.
+
+    levi_mask, levi, nilradical_roots and dim are derived once, not fields."""
 
     _fields = ("rs", "crossed")
 
@@ -61,23 +62,12 @@ class ParabolicSpace(_Record):
         if bad:
             raise ExcolError(f"crossed nodes {bad} outside 1..{rs.rank}")
         self._set(rs, crossed)
-
-    @property
-    def levi_mask(self) -> frozenset[int]:
-        return frozenset(range(1, self.rs.rank + 1)) - self.crossed
-
-    @property
-    def levi(self) -> Subsystem:
-        return subsystem(self.rs, self.levi_mask)
-
-    @property
-    def nilradical_roots(self) -> tuple[Weight, ...]:
+        put = object.__setattr__
+        put(self, "levi_mask", frozenset(range(1, rs.rank + 1)) - crossed)
+        put(self, "levi", subsystem(rs, self.levi_mask))
         levi_pos = set(self.levi.positive_roots)
-        return tuple(a for a in self.rs.positive_roots if a not in levi_pos)
-
-    @property
-    def dim(self) -> int:
-        return len(self.nilradical_roots)
+        put(self, "nilradical_roots", tuple(a for a in rs.positive_roots if a not in levi_pos))
+        put(self, "dim", len(self.nilradical_roots))
 
     @property
     def cell_count(self) -> int:
@@ -106,7 +96,9 @@ def space_from_string(text: str) -> ParabolicSpace:
 
 
 class BundleObject(_Record):
-    """Irreducible homogeneous bundle, possibly shifted in the derived category."""
+    """Irreducible homogeneous bundle, possibly shifted in the derived category.
+
+    rank, the Weyl dimension of hw over the Levi, is derived once, not a field."""
 
     _fields = ("space", "hw", "shift")
 
@@ -115,11 +107,8 @@ class BundleObject(_Record):
         if not is_dominant(space.levi, hw):
             raise DominanceError(f"{hw} is not dominant for the Levi of {space}")
         self._set(space, hw, shift)
-
-    @functools.cached_property
-    def rank(self) -> int:
-        # hw was checked at construction, so weyl_dim's checks are skipped
-        return _weyl_dim_cached(self.space.levi, self.hw)
+        # hw is checked above, so weyl_dim's checks are skipped
+        object.__setattr__(self, "rank", _weyl_dim_cached(space.levi, hw))
 
     def dual(self) -> "BundleObject":
         dw = dual_weight(self.space.rs, self.space.levi_mask, self.hw)
@@ -129,8 +118,7 @@ class BundleObject(_Record):
         """Tensor by the line bundle with the given weight."""
         validate_weight(self.space.rs, line)
         # a line bundle weight pairs to zero with every Levi coroot
-        levi = self.space.levi
-        if not (is_dominant(levi, line) and is_dominant(levi, -line)):
+        if not (is_dominant(self.space.levi, line) and is_dominant(self.space.levi, -line)):
             raise ExcolError(f"{line} is not a line bundle weight on {self.space}")
         return BundleObject(self.space, self.hw + line, self.shift)
 
@@ -163,49 +151,51 @@ class CohomologyAnswer(_Record):
 
 def cohomology(space: ParabolicSpace, hw: Weight) -> CohomologyAnswer:
     """Sheaf cohomology of the irreducible bundle with Levi-highest weight hw."""
-    rs = space.rs
-    validate_weight(rs, hw)
+    validate_weight(space.rs, hw)
     if not is_dominant(space.levi, hw):
         raise DominanceError(f"{hw} is not dominant for the Levi of {space}")
-    hit = _dot_action(subsystem(rs), hw)
+    full = subsystem(space.rs)
+    hit = _dot_action(full, hw)
     if hit is None:
         return CohomologyAnswer(None, None, 0)
     length, dom = hit
     assert 0 <= length <= space.dim, "cohomological degree must not exceed the dimension"
-    return CohomologyAnswer(length, dom, weyl_dim(rs, None, dom))
+    # dom is dominant for the full system, so weyl_dim's checks are skipped
+    return CohomologyAnswer(length, dom, _weyl_dim_cached(full, dom))
 
 
-def _hom_pieces(src: BundleObject, dst: BundleObject) -> list[tuple[Weight, int]]:
+def _hom_pieces(
+    src: BundleObject, dst: BundleObject
+) -> Iterator[tuple[int, CohomologyAnswer, int]]:
+    """(degree, cohomology, multiplicity) of each summand of src^* (x) dst
+    with nonzero cohomology, its degree shifted by src.shift - dst.shift."""
     if src.space != dst.space:
         raise ExcolError("both bundles must live on the same space")
     rs = src.space.rs
     mask = src.space.levi_mask
-    dual_hw = dual_weight(rs, mask, src.hw)
-    return tensor_decompose(rs, mask, dual_hw, dst.hw)
+    offset = src.shift - dst.shift
+    for piece, mult in tensor_decompose(rs, mask, dual_weight(rs, mask, src.hw), dst.hw):
+        ans = cohomology(src.space, piece)
+        if not ans.is_zero:
+            yield ans.degree + offset, ans, mult
 
 
 def graded_hom_detail(
     src: BundleObject, dst: BundleObject
 ) -> dict[int, list[tuple[Weight, int]]]:
     """Ext groups by degree, listing full-system dominant weights with multiplicity."""
-    offset = src.shift - dst.shift
     out: dict[int, list[tuple[Weight, int]]] = {}
-    for piece, mult in _hom_pieces(src, dst):
-        ans = cohomology(src.space, piece)
-        if ans.is_zero:
-            continue
-        k = ans.degree + offset
+    for k, ans, mult in _hom_pieces(src, dst):
         out.setdefault(k, []).append((ans.dominant, mult))
     return {k: sorted(v, key=lambda p: p[0].sort_key) for k, v in sorted(out.items())}
 
 
 def graded_hom(src: BundleObject, dst: BundleObject) -> dict[int, int]:
     """Dimensions of the graded Ext groups between two bundles."""
-    rs = src.space.rs
     dims: dict[int, int] = {}
-    for k, pieces in graded_hom_detail(src, dst).items():
-        dims[k] = sum(mult * weyl_dim(rs, None, dom) for dom, mult in pieces)
-    return dims
+    for k, ans, mult in _hom_pieces(src, dst):
+        dims[k] = dims.get(k, 0) + mult * ans.dim
+    return dict(sorted(dims.items()))
 
 
 def pushforward(bundle: BundleObject, base: ParabolicSpace) -> BundleObject | None:
@@ -257,16 +247,16 @@ def _is_quadric(space: ParabolicSpace) -> bool:
     return False
 
 
-def _hyperplane_weight(space: ParabolicSpace) -> Weight:
-    """Weight of O(1) on a space with one crossed node k: sum of the first k epsilons."""
+def _hyperplane_weight(space: ParabolicSpace, t: int) -> Weight:
+    """Weight of O(t) on a space with one crossed node k: t times the sum of
+    the first k epsilons."""
     if _is_quadric(space):
         k = 1
     elif len(space.crossed) == 1:
         (k,) = space.crossed
     else:
         raise ExcolError(f"O(t) is ambiguous on {space}; name the projection")
-    coords = [1] * k + [0] * (space.rs.dim - k)
-    return weight(*coords)
+    return weight(*([t] * k + [0] * (space.rs.dim - k)))
 
 
 def spinor_weight(space: ParabolicSpace, sign: int = 0) -> Weight:
@@ -286,10 +276,10 @@ def spinor_weight(space: ParabolicSpace, sign: int = 0) -> Weight:
     else:
         if sign not in (1, -1):
             raise ExcolError("even quadrics need sign=+1 or sign=-1")
-    coords = ["1/2"] * rs.rank
+    num = [1] * rs.rank  # doubled coordinates
     if rs.family == "D" and sign == -1:
-        coords[-1] = "-1/2"
-    return Weight(coords)
+        num[-1] = -1
+    return _make(tuple(num))
 
 
 _NAME_RES = [
@@ -323,8 +313,7 @@ def bundle_weight(space: ParabolicSpace, name: str) -> Weight:
         raise ParseError(f"cannot parse bundle name {name!r}")
 
     def twist(g: str | None) -> Weight:
-        t = int(g) if g else 0
-        return _hyperplane_weight(space).scale(t)
+        return _hyperplane_weight(space, int(g) if g else 0)
 
     if kind == "O":
         t = m.group(1)

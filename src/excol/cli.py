@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .roots import ExcolError, ParseError, Weight
+from .roots import ExcolError, ParseError, Weight, _weight_json
 from .bwb import (
     BundleObject,
     ParabolicSpace,
@@ -28,7 +28,6 @@ from .collections import (
     CollectionSpec,
     _json_rows,
     _kclass_json,
-    _weight_json,
     build_beilinson,
     build_igr26,
     build_orthogonal_flag,
@@ -65,7 +64,8 @@ def _parse_bundle_arg(space: ParabolicSpace, text: str) -> Weight:
         raise ParseError(
             f"weight {text!r} has {len(coords)} coordinates; {space} needs {space.rs.dim}"
         )
-    return Weight(coords)
+    # integer coordinates enter as ints, so Weight needs no Fraction for them
+    return Weight(int(c) if c.denominator == 1 else c for c in coords)
 
 
 def _get_collection(args) -> CollectionSpec:

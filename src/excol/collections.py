@@ -29,6 +29,7 @@ from .roots import (
     Weight,
     _Record,
     _make,
+    _weight_json,
     validate_weight,
 )
 from .characters import dual_weight, tensor_decompose, weyl_dim
@@ -237,13 +238,12 @@ def compose_fibration(
 
     rs = total.rs
     mask_total = total.levi_mask
-    mask_base = base.space.levi_mask
     objects = []
     names = []
     for tw, tw_label in zip(relative_twists, twist_labels):
         BundleObject(total, tw)  # refuses a twist that is not a bundle on total
         for obj, obj_label in zip(base.objects, base.labels):
-            if weyl_dim(rs, mask_base, obj.hw) != weyl_dim(rs, mask_total, obj.hw):
+            if obj.rank != weyl_dim(rs, mask_total, obj.hw):
                 raise ExcolError(
                     f"pullback of {obj.hw} to {total} is filtered, not irreducible"
                 )
@@ -565,10 +565,6 @@ def _weight_parse(raw) -> Weight:
     ):
         raise ParseError(f"cannot parse weight {raw!r}")
     return Weight(raw)
-
-
-def _weight_json(w: Weight) -> list:
-    return [f"{x}/2" if x % 2 else x // 2 for x in w.num]
 
 
 def _kclass_json(k: KClass) -> dict:

@@ -144,10 +144,10 @@ class _ChiTable(dict):
     b = a + d.  gram() sets `at` to the offset of each row's object, and a
     _ShapeRow sets `first` and `delta` while it sums an entry.
 
-    Each object is a shape and an offset (see gram_matrix), and each left
-    shape has one _ShapeRow of its entries against every right shape.  When
-    both sides have only the one-line shape of coefficient 1, that row is
-    this table itself.
+    Each object is a shape and an offset (see gram_matrix).  Both sides
+    index one list of shapes, and each shape has one _ShapeRow of its
+    entries against every shape.  When every object has the one-line shape
+    of coefficient 1, that row is this table itself.
     """
 
     def __init__(
@@ -157,32 +157,39 @@ class _ChiTable(dict):
     ) -> None:
         super().__init__()
         objs = (*left, *right)
-        if any(o.space != objs[0].space for o in objs):
+        space = objs[0].space if objs else None
+        if any(o.space is not space and o.space != space for o in objs):
             raise ExcolError("Euler pairing needs both classes on the same space")
         heads = all(isinstance(o, BundleObject) for o in objs)
-        sides = ([_terms(o, False) for o in left], [_terms(o, heads) for o in right])
-        nums = {n for side in sides for terms in side for n, _ in terms}
+        # a read is an object's identity and whether its head alone enters;
+        # each distinct read is made once, and a K-class or a line bundle
+        # reads the same on both sides
+        sides = ([(id(o), False) for o in left],
+                 [(id(o), heads and o.rank != 1) for o in right])
+        reads = dict(zip(sides[0] + sides[1], objs))
+        terms = {r: _terms(o, r[1]) for r, o in reads.items()}
+        nums = {n for t in terms.values() for n, _ in t}
         spread = max((max(c) - min(c) for c in zip(*nums)), default=0)
         radix = [(2 * spread + 1) ** i for i in range(max(map(len, nums), default=0))]
         keys = {n: sum(map(mul, n, radix)) for n in nums}
-        # (shape index, offset) of each object; shapes[1] indexes the right shapes
-        shapes: tuple[dict, dict] = ({}, {})
-        self.left, self.right = (
-            [_shape([(keys[n], c) for n, c in t], known) for t in side]
-            for side, known in zip(sides, shapes)
-        )
+        # (shape index, offset) of each read; both sides index one list of shapes
+        shapes: dict = {}
+        placed = {r: _shape([(keys[n], c) for n, c in t], shapes) for r, t in terms.items()}
+        self.left, self.right = ([placed[r] for r in side] for side in sides)
         if objs:
-            full = subsystem(objs[0].space.rs)
+            full = subsystem(space.rs)
             self.denominator = full.weyl_denominator
             rho = _pairings(full.positive_int, full.rho.num)
             self.p = {keys[n]: _pairings(full.positive_int, n) for n in nums}
             self.q = {k: list(map(add, p, rho)) for k, p in self.p.items()}
-        self.at, self.width = 0, len(shapes[1])
+        self.at, self.width = 0, len(shapes)
         self.delta, self.first = 0, {}
-        line = {((0, 1),): 0}
+        # a shape that no right object has, such as a bundle's whole character
+        # when heads enter, is merged against nothing
+        on_right = {t for t, _ in self.right}
+        rights = [y if t in on_right else () for t, y in enumerate(shapes)]
         self.shape_rows = [
-            self if shapes == (line, line) else _ShapeRow(self, x, list(shapes[1]))
-            for x in shapes[0]
+            self if shapes == {((0, 1),): 0} else _ShapeRow(self, x, rights) for x in shapes
         ]
 
     def __missing__(self, d: int) -> int:
@@ -213,9 +220,9 @@ def _shape(terms: list[tuple[int, int]], known: dict) -> tuple[int, int]:
 
 
 class _ShapeRow(dict):
-    """chi(x, y) for x of one left shape S and y of each right shape T, keyed
-    delta * (number of right shapes) + (index of T), with delta the offset
-    of y minus the offset of x, and evaluated with chi.at at x's offset.
+    """chi(x, y) for x of one shape S and y of each shape T, keyed
+    delta * (number of shapes) + (index of T), with delta the offset of y
+    minus the offset of x, and evaluated with chi.at at x's offset.
 
     The entry is the sum of c chi(L_{delta + d}) over S and T's merged list
     of (d, c), d = sb - sa summed over the term pairs.  A missing

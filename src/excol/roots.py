@@ -86,8 +86,9 @@ class _Record:
     class are equal when their fields are, hash as the tuple of their fields
     less those named in _unhashed, and repr as Class(field=value, ...).
     Assigning or deleting any attribute raises AttributeError.  There are no
-    __slots__: a cached_property fills the instance dict, and pickle and copy
-    restore that dict without setattr.
+    __slots__: an __init__ may also store values derived from the fields,
+    which take no part in ==, hash or repr, and pickle and copy restore the
+    instance dict without setattr.
     """
 
     _fields: tuple[str, ...] = ()
@@ -206,7 +207,7 @@ class Weight(_Record):
             )
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
+        return "(" + ", ".join(map(str, _weight_json(self))) + ")"
 
 
 def _make(num: tuple[int, ...]) -> Weight:
@@ -214,6 +215,11 @@ def _make(num: tuple[int, ...]) -> Weight:
     w = object.__new__(Weight)
     object.__setattr__(w, "num", num)
     return w
+
+
+def _weight_json(w: Weight) -> list:
+    """w's coordinates as Fraction renders them: an int, or a string "x/2"."""
+    return [f"{x}/2" if x % 2 else x // 2 for x in w.num]
 
 
 def weight(*coords: Fraction | int | str) -> Weight:
@@ -288,12 +294,12 @@ def _root_system_cached(family: str, rank: int) -> RootSystem:
         if family == "B":
             positives.extend(e[i] for i in range(rank))
         elif family == "C":
-            positives.extend(e[i].scale(2) for i in range(rank))
+            positives.extend(e[i] + e[i] for i in range(rank))
         chain = [e[i] - e[i + 1] for i in range(rank - 1)]
         if family == "B":
             simples = tuple(chain + [e[rank - 1]])
         elif family == "C":
-            simples = tuple(chain + [e[rank - 1].scale(2)])
+            simples = tuple(chain + [e[rank - 1] + e[rank - 1]])
         else:
             simples = tuple(chain + [e[rank - 2] + e[rank - 1]])
 

@@ -8,7 +8,11 @@ per-entry Gram kernel it replaced with shapes, the verification report
 that held every entry as a tuple, the report's JSON document built as a
 dict, a bundle's K-class through KClass.from_dict, the orthogonal flag
 builder that multiplied each object out alone, the command line's two-pass
-parser of bundle arguments, and the frozen dataclasses the records replaced.
+parser of bundle arguments, the parabolic space's properties, the chi
+table's two-sided build and graded_hom's per-degree Weyl dimensions, which
+derived their values again on every access, for every side or from every
+weight, a weight's text through Fraction coordinates, and the frozen
+dataclasses the records replaced.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from excol import (
     weyl_order,
 )
 from excol.collections import _Results
-from excol.homcalc import _solve_unimodular
+from excol.homcalc import _ChiTable, _ShapeRow, _shape, _solve_unimodular, _terms
 from excol.roots import (
     IntRoot, _pairings, _root_system_cached, _subsystem_cached, _weyl_quotient,
     weyl_product,
@@ -857,6 +861,86 @@ def two_pass_bundle_arg(space, text):
     if looks_like_weight(text):
         return parse_weight_literal(space, text)
     return bundle_weight(space, text)
+
+
+# ----------------------------------------------------------------------
+# Oracles: values the library now derives once.  A parabolic space's Levi
+# data were properties computed on every access; the chi table read each
+# side's objects and indexed each side's shapes apart; graded_hom took each
+# degree's dimension from weyl_dim; a weight's text went through its
+# Fraction coordinates.
+
+
+def property_levi_mask(space):
+    return frozenset(range(1, space.rs.rank + 1)) - space.crossed
+
+
+def property_levi(space):
+    return subsystem(space.rs, property_levi_mask(space))
+
+
+def property_nilradical_roots(space):
+    levi_pos = set(property_levi(space).positive_roots)
+    return tuple(a for a in space.rs.positive_roots if a not in levi_pos)
+
+
+def property_dim(space):
+    return len(property_nilradical_roots(space))
+
+
+class TwoSidedChiTable(_ChiTable):
+    """The chi table whose __init__ read the left and the right objects
+    apart, and gave each side its own list of shapes."""
+
+    def __init__(self, left, right):
+        dict.__init__(self)
+        objs = (*left, *right)
+        if any(o.space != objs[0].space for o in objs):
+            raise ExcolError("Euler pairing needs both classes on the same space")
+        heads = all(isinstance(o, excol.BundleObject) for o in objs)
+        sides = ([_terms(o, False) for o in left], [_terms(o, heads) for o in right])
+        nums = {n for side in sides for terms in side for n, _ in terms}
+        spread = max((max(c) - min(c) for c in zip(*nums)), default=0)
+        radix = [(2 * spread + 1) ** i for i in range(max(map(len, nums), default=0))]
+        keys = {n: sum(map(operator.mul, n, radix)) for n in nums}
+        shapes = ({}, {})
+        self.left, self.right = (
+            [_shape([(keys[n], c) for n, c in t], known) for t in side]
+            for side, known in zip(sides, shapes)
+        )
+        if objs:
+            full = subsystem(objs[0].space.rs)
+            self.denominator = full.weyl_denominator
+            rho = _pairings(full.positive_int, full.rho.num)
+            self.p = {keys[n]: _pairings(full.positive_int, n) for n in nums}
+            self.q = {k: list(map(operator.add, p, rho)) for k, p in self.p.items()}
+        self.at, self.width = 0, len(shapes[1])
+        self.delta, self.first = 0, {}
+        line = {((0, 1),): 0}
+        self.shape_rows = [
+            self if shapes == (line, line) else _ShapeRow(self, x, list(shapes[1]))
+            for x in shapes[0]
+        ]
+
+
+def two_sided_gram(left, right=None):
+    """[[chi(x, y) for y in right] for x in left] by the two-sided build;
+    right defaults to left."""
+    return TwoSidedChiTable(left, left if right is None else right).gram()
+
+
+def detail_graded_hom(src, dst):
+    """graded_hom by the Weyl dimension of each dominant weight of
+    graded_hom_detail, validated again."""
+    return {
+        k: sum(mult * excol.weyl_dim(src.space.rs, None, dom) for dom, mult in pieces)
+        for k, pieces in excol.graded_hom_detail(src, dst).items()
+    }
+
+
+def fraction_str(w):
+    """A weight's text through its Fraction coordinates."""
+    return "(" + ", ".join(str(c) for c in w.coords) + ")"
 
 
 # The frozen dataclasses excol's records replaced, declared as they were.  A

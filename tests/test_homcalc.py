@@ -161,9 +161,13 @@ class TestKernelContract:
     def test_classes_on_two_spaces_are_refused_by_every_caller(self):
         a = KClass.from_dict(P1, {weight(0, 0): 1})
         b = KClass.from_dict(IGR, {weight(0, 0, 0): 1})
+        # one root system, two spaces
+        c, d = (BundleObject(parabolic_space("C", 3, k), weight(0, 0, 0)) for k in ([1], [2]))
         message = "^Euler pairing needs both classes on the same space$"
         for call in [
             lambda: gram_matrix([a, b]),
+            lambda: gram_matrix([c, c, d]),
+            lambda: euler_pairing(c, d),
             lambda: gram_matrix([b, BundleObject(P1, weight(0, 0))]),
             lambda: euler_pairing(a, b),
             lambda: euler_pairing(b, a, method="chi"),
