@@ -10,7 +10,7 @@ uses the dot action over the Levi of the base.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .roots import (
     DominanceError,
@@ -39,7 +39,6 @@ __all__ = [
     "CohomologyAnswer",
     "cohomology",
     "graded_hom",
-    "graded_hom_detail",
     "pushforward",
     "canonical_bundle",
     "bundle_weight",
@@ -114,14 +113,6 @@ class BundleObject(_Record):
         dw = dual_weight(self.space.rs, self.space.levi_mask, self.hw)
         return BundleObject(self.space, dw, -self.shift)
 
-    def tensor_line(self, line: Weight) -> "BundleObject":
-        """Tensor by the line bundle with the given weight."""
-        validate_weight(self.space.rs, line)
-        # a line bundle weight pairs to zero with every Levi coroot
-        if not (is_dominant(self.space.levi, line) and is_dominant(self.space.levi, -line)):
-            raise ExcolError(f"{line} is not a line bundle weight on {self.space}")
-        return BundleObject(self.space, self.hw + line, self.shift)
-
     def shifted(self, k: int) -> "BundleObject":
         return BundleObject(self.space, self.hw, self.shift + k)
 
@@ -154,47 +145,37 @@ def cohomology(space: ParabolicSpace, hw: Weight) -> CohomologyAnswer:
     validate_weight(space.rs, hw)
     if not is_dominant(space.levi, hw):
         raise DominanceError(f"{hw} is not dominant for the Levi of {space}")
+    return _cohomology(space, hw)
+
+
+def _cohomology(space: ParabolicSpace, hw: Weight) -> CohomologyAnswer:
+    """cohomology of a lattice weight hw already known to be Levi-dominant."""
     full = subsystem(space.rs)
     hit = _dot_action(full, hw)
     if hit is None:
         return CohomologyAnswer(None, None, 0)
     length, dom = hit
-    assert 0 <= length <= space.dim, "cohomological degree must not exceed the dimension"
+    if not 0 <= length <= space.dim:
+        raise AssertionError("cohomological degree must not exceed the dimension")
     # dom is dominant for the full system, so weyl_dim's checks are skipped
     return CohomologyAnswer(length, dom, _weyl_dim_cached(full, dom))
 
 
-def _hom_pieces(
-    src: BundleObject, dst: BundleObject
-) -> Iterator[tuple[int, CohomologyAnswer, int]]:
-    """(degree, cohomology, multiplicity) of each summand of src^* (x) dst
-    with nonzero cohomology, its degree shifted by src.shift - dst.shift."""
+def graded_hom(src: BundleObject, dst: BundleObject) -> dict[int, int]:
+    """Dimensions of the graded Ext groups between two bundles: the cohomology
+    of each summand of src^* (x) dst, its degree shifted by src.shift - dst.shift."""
     if src.space != dst.space:
         raise ExcolError("both bundles must live on the same space")
     rs = src.space.rs
     mask = src.space.levi_mask
     offset = src.shift - dst.shift
-    for piece, mult in tensor_decompose(rs, mask, dual_weight(rs, mask, src.hw), dst.hw):
-        ans = cohomology(src.space, piece)
-        if not ans.is_zero:
-            yield ans.degree + offset, ans, mult
-
-
-def graded_hom_detail(
-    src: BundleObject, dst: BundleObject
-) -> dict[int, list[tuple[Weight, int]]]:
-    """Ext groups by degree, listing full-system dominant weights with multiplicity."""
-    out: dict[int, list[tuple[Weight, int]]] = {}
-    for k, ans, mult in _hom_pieces(src, dst):
-        out.setdefault(k, []).append((ans.dominant, mult))
-    return {k: sorted(v, key=lambda p: p[0].sort_key) for k, v in sorted(out.items())}
-
-
-def graded_hom(src: BundleObject, dst: BundleObject) -> dict[int, int]:
-    """Dimensions of the graded Ext groups between two bundles."""
     dims: dict[int, int] = {}
-    for k, ans, mult in _hom_pieces(src, dst):
-        dims[k] = dims.get(k, 0) + mult * ans.dim
+    # tensor_decompose returns Levi-dominant lattice weights: nothing to check
+    for piece, mult in tensor_decompose(rs, mask, dual_weight(rs, mask, src.hw), dst.hw):
+        ans = _cohomology(src.space, piece)
+        if not ans.is_zero:
+            k = ans.degree + offset
+            dims[k] = dims.get(k, 0) + mult * ans.dim
     return dict(sorted(dims.items()))
 
 

@@ -58,9 +58,6 @@ class Character(_Record):
     ) -> None:
         self._set(rs, mask, mults)
 
-    def total_dim(self) -> int:
-        return sum(self.mults.values())
-
 
 def _dominant_for(rs: RootSystem, mask: Iterable[int] | None, lam: Weight) -> Subsystem:
     """The subsystem of mask, once lam is checked to be a weight dominant for it."""
@@ -79,7 +76,8 @@ def weyl_dim(rs: RootSystem, mask: Iterable[int] | None, lam: Weight) -> int:
 @lru_cache(maxsize=None)
 def _weyl_dim_cached(sub: Subsystem, lam: Weight) -> int:
     dim = weyl_product(sub, lam)
-    assert dim > 0, "Weyl dimension must be a positive integer"
+    if dim <= 0:
+        raise AssertionError("Weyl dimension must be a positive integer")
     return dim
 
 
@@ -126,9 +124,11 @@ def _freudenthal(sub: Subsystem, lam: Weight) -> dict[Weight, int]:
                 nu = _add(nu, a.num)
         shifted = _add(mu, rho)
         denom = top_norm - _dot(shifted, shifted)
-        assert denom > 0, "Freudenthal denominator must be positive below lam"
+        if denom <= 0:
+            raise AssertionError("Freudenthal denominator must be positive below lam")
         val, rest = divmod(2 * acc, denom)
-        assert rest == 0 and val > 0, "multiplicity must be a positive integer"
+        if rest or val <= 0:
+            raise AssertionError("multiplicity must be a positive integer")
         mult[mu] = val
 
     # expand over Weyl orbits; multiplicity is orbit-constant
@@ -151,9 +151,10 @@ def irrep_character(
 def _character_cached(sub: Subsystem, lam: Weight) -> dict[Weight, int]:
     mults = _freudenthal(sub, lam)
     dim_check = _weyl_dim_cached(sub, lam)
-    assert sum(mults.values()) == dim_check, (
-        f"character of {lam} sums to {sum(mults.values())}, Weyl dim is {dim_check}"
-    )
+    if sum(mults.values()) != dim_check:
+        raise AssertionError(
+            f"character of {lam} sums to {sum(mults.values())}, Weyl dim is {dim_check}"
+        )
     return mults
 
 
@@ -192,9 +193,11 @@ def tensor_decompose(
         key=lambda p: p[0].sort_key,
         reverse=True,
     )
-    assert all(c > 0 for _, c in out), "Brauer-Klimyk left a negative multiplicity"
+    if not all(c > 0 for _, c in out):
+        raise AssertionError("Brauer-Klimyk left a negative multiplicity")
     total = sum(cnt * weyl_dim(rs, sub.mask, w) for w, cnt in out)
-    assert total == dim_lam * dim_mu, "tensor decomposition must conserve dimension"
+    if total != dim_lam * dim_mu:
+        raise AssertionError("tensor decomposition must conserve dimension")
     return out
 
 

@@ -32,7 +32,7 @@ from .roots import (
     _weight_json,
     validate_weight,
 )
-from .characters import dual_weight, tensor_decompose, weyl_dim
+from .characters import dual_weight
 from .bwb import (
     BundleObject,
     ParabolicSpace,
@@ -59,7 +59,6 @@ __all__ = [
     "build_symplectic_flag",
     "build_orthogonal_flag",
     "build_igr26",
-    "compose_fibration",
     "verify",
     "dump_collection",
     "load_collection",
@@ -210,57 +209,6 @@ def build_igr26() -> CollectionSpec:
     ]
     objects = tuple(_bundle(space, nm) for nm in names)
     return CollectionSpec(space, objects, "bundles", tuple(names), "igr26")
-
-
-def compose_fibration(
-    base: CollectionSpec,
-    total: ParabolicSpace,
-    relative_twists: Sequence[Weight],
-    twist_labels: Sequence[str] | None = None,
-) -> CollectionSpec:
-    """Product collection {pullback(base object) (x) twist} on the total space.
-
-    The relative twist index runs slowest, so each twist contributes one
-    outer block containing a pulled-back copy of the base collection.
-    Pullbacks must stay irreducible (always true for line bundles) and each
-    tensor product must be a single irreducible, or the tower is rejected.
-    """
-    if base.mode != "bundles":
-        raise ExcolError("fibration composition needs a bundle-mode base")
-    if total.rs != base.space.rs:
-        raise ExcolError("base and total space must share the root system")
-    if not base.space.crossed < total.crossed:
-        raise ExcolError(f"{total} does not fiber over {base.space}")
-    if not relative_twists:
-        raise ExcolError("at least one relative twist is required")
-    if twist_labels is None:
-        twist_labels = [f"T{k}" for k in range(len(relative_twists))]
-
-    rs = total.rs
-    mask_total = total.levi_mask
-    objects = []
-    names = []
-    for tw, tw_label in zip(relative_twists, twist_labels):
-        BundleObject(total, tw)  # refuses a twist that is not a bundle on total
-        for obj, obj_label in zip(base.objects, base.labels):
-            if obj.rank != weyl_dim(rs, mask_total, obj.hw):
-                raise ExcolError(
-                    f"pullback of {obj.hw} to {total} is filtered, not irreducible"
-                )
-            summands = tensor_decompose(rs, mask_total, obj.hw, tw)
-            if len(summands) != 1 or summands[0][1] != 1:
-                raise ExcolError(
-                    f"tensor of {obj.hw} with twist {tw} is not irreducible on {total}"
-                )
-            objects.append(BundleObject(total, summands[0][0], obj.shift))
-            names.append(f"{tw_label}*{obj_label}")
-    return CollectionSpec(
-        total,
-        tuple(objects),
-        "bundles",
-        tuple(names),
-        f"compose({base.provenance})",
-    )
 
 
 class PairResult(_Record):

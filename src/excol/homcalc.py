@@ -27,8 +27,8 @@ from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .roots import (
-    MAX_GRAM_OBJECTS, ExcolError, RootSystem, Weight, _Record, _make, _pairings,
-    _weyl_quotient, subsystem, validate_weight, weyl_product,
+    MAX_GRAM_OBJECTS, ExcolError, Weight, _Record, _make, _pairings, _weyl_quotient,
+    subsystem, validate_weight,
 )
 from .characters import irrep_character
 from .bwb import BundleObject, ParabolicSpace, graded_hom
@@ -36,10 +36,8 @@ from .bwb import BundleObject, ParabolicSpace, graded_hom
 __all__ = [
     "KClass",
     "kclass_of",
-    "chi_line",
     "euler_pairing",
     "gram_matrix",
-    "serre_operator",
     "mutate_pair_k",
     "thread_check",
 ]
@@ -100,12 +98,6 @@ class KClass(_Record):
 def kclass_of(obj: BundleObject) -> KClass:
     """K-theory class of a bundle: its Levi character, signed by shift parity."""
     return KClass(obj.space, tuple((_make(n), c) for n, c in sorted(_terms(obj, False))))
-
-
-def chi_line(rs: RootSystem, nu: Weight) -> int:
-    """Euler characteristic of the full-flag line bundle with weight nu."""
-    validate_weight(rs, nu)
-    return weyl_product(subsystem(rs), nu)
 
 
 def _as_kclass(obj: "BundleObject | KClass") -> KClass:
@@ -310,38 +302,32 @@ def gram_matrix(
     return _ChiTable(objects, objects).gram()
 
 
-def _bareiss(
-    mat: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]
-) -> tuple[int, list[list[int]] | None]:
-    """Fraction-free (Bareiss) elimination of [mat | rhs].
+def _bareiss(mat: Sequence[Sequence[int]]) -> int:
+    """det mat by fraction-free (Bareiss) elimination below each pivot.
 
-    Returns (det mat, adj(mat) rhs); the second is None when mat is singular.
     Every division is exact, so the whole computation stays in integers.
-    An empty rhs eliminates below each pivot only, which is all det needs;
-    otherwise above it too (Gauss-Jordan).  A row with a zero in the pivot
-    column is skipped when the pivot equals the previous one, as
-    (pk * x - 0 * y) // prev == x.  This keeps permuted, near-triangular Grams
-    cheap: symplectic:4 with two objects swapped takes 0.013-0.016 s, not 2.7-3.6 s.
+    A row with a zero in the pivot column is skipped when the pivot equals
+    the previous one, as (pk * x - 0 * y) // prev == x.  This keeps permuted,
+    near-triangular Grams cheap: symplectic:4 with two objects swapped takes
+    0.013-0.016 s, not 2.7-3.6 s.
     """
     n = len(mat)
-    a = [list(row) + list(extra) for row, extra in zip(mat, rhs)]
-    jordan = any(rhs)
+    a = [list(row) for row in mat]
     sign, prev = 1, 1
     for k in range(n):
         pivot = next((r for r in range(k, n) if a[r][k]), None)
         if pivot is None:
-            return 0, None
+            return 0
         if pivot != k:
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
         rowk, pk = a[k], a[k][k]
-        for i in range(0 if jordan else k + 1, n):
+        for i in range(k + 1, n):
             f = a[i][k]
-            if i != k and (f or pk != prev):
+            if f or pk != prev:
                 a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], rowk)]
         prev = pk
-    # after Jordan steps the left block is prev * I, the right prev * mat^-1 rhs
-    return sign * prev, [[sign * x for x in row[n:]] for row in a]
+    return sign * prev
 
 
 def _lower_rows(mat: Sequence[Sequence[int]]) -> list[int]:
@@ -356,28 +342,7 @@ def _det_exact(mat: Sequence[Sequence[int]], lower: list[int] | None = None) -> 
         lower = _lower_rows(mat)
     if not lower or not any(any(row[j + 1:]) for j, row in enumerate(mat)):
         return math.prod(row[j] for j, row in enumerate(mat))
-    return _bareiss(mat, [()] * len(mat))[0]
-
-
-def _solve_unimodular(
-    mat: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]
-) -> list[list[int]]:
-    """The integer matrix X with mat X = rhs, for mat of determinant +1 or -1."""
-    det, adj = _bareiss(mat, rhs)
-    if abs(det) != 1:
-        raise ExcolError(f"Gram matrix has determinant {det}, expected +1 or -1")
-    return [[det * x for x in row] for row in adj]
-
-
-def serre_operator(gram: Sequence[Sequence[int]]) -> list[list[int]]:
-    """K-level Serre operator S = G^{-1} G^T acting on coordinate columns.
-
-    Defined by chi(x, S y) = chi(y, x); requires the Gram matrix to be
-    unimodular so that S is an integer matrix.
-    """
-    if any(len(row) != len(gram) for row in gram):
-        raise ExcolError("Gram matrix must be square")
-    return _solve_unimodular(gram, [list(col) for col in zip(*gram)])
+    return _bareiss(mat)
 
 
 def mutate_pair_k(

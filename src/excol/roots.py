@@ -47,15 +47,12 @@ __all__ = [
     "weight",
     "RootSystem",
     "build_root_system",
-    "coroot_pairing",
-    "reflect",
     "validate_weight",
     "full_mask",
     "Subsystem",
     "subsystem",
     "is_dominant",
     "plain_dominantize",
-    "weyl_orbit",
     "make_dominant_dot",
     "weyl_order",
     "parabolic_cell_count",
@@ -189,17 +186,6 @@ class Weight(_Record):
     def __neg__(self) -> "Weight":
         return _make(tuple(-a for a in self.num))
 
-    def scale(self, k: Fraction | int) -> "Weight":
-        k = Fraction(k)
-        return Weight(Fraction(k.numerator * a, 2 * k.denominator) for a in self.num)
-
-    def dot(self, other: "Weight") -> Fraction:
-        self._check_dim(other)
-        return Fraction(_dot(self.num, other.num), 4)
-
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
     def _check_dim(self, other: "Weight") -> None:
         if len(self.num) != len(other.num):
             raise ValueError(
@@ -308,15 +294,6 @@ def _root_system_cached(family: str, rank: int) -> RootSystem:
     )
 
 
-def coroot_pairing(v: Weight, alpha: Weight) -> Fraction:
-    """<v, alpha^vee> = 2 (v, alpha) / (alpha, alpha)."""
-    return 2 * v.dot(alpha) / alpha.dot(alpha)
-
-
-def reflect(v: Weight, alpha: Weight) -> Weight:
-    return v - alpha.scale(coroot_pairing(v, alpha))
-
-
 def validate_weight(rs: RootSystem, lam: Weight) -> None:
     """Reject coordinates outside the weight lattice for the family."""
     if lam.dim != rs.dim:
@@ -409,13 +386,6 @@ class Subsystem(_Record):
     def __reduce__(self):
         return _subsystem_cached, (self.rs, self.mask)
 
-    def coefficients(self, v: Weight) -> tuple[Fraction, ...] | None:
-        """Expansion of v over this subsystem's simple roots, if in the span."""
-        coeffs = _simple_coefficients(self.rs, v)
-        if coeffs is None or not _supported_in(coeffs, self.mask):
-            return None
-        return tuple(Fraction(coeffs[k - 1], 4) for k in sorted(self.mask))
-
 
 def _supported_in(coeffs: Sequence[int], mask: frozenset[int]) -> bool:
     return all(k in mask for k, c in enumerate(coeffs, 1) if c)
@@ -504,11 +474,6 @@ def plain_dominantize(sub: Subsystem, v: Weight) -> Weight:
     return _make(_dominantize(sub.simple_int, _numerators(sub, v)))
 
 
-def weyl_orbit(sub: Subsystem, v: Weight) -> set[Weight]:
-    """Full Weyl orbit of v under the subsystem's reflections."""
-    return {_make(u) for u in _orbit(sub.simple_int, _numerators(sub, v))}
-
-
 def make_dominant_dot(
     rs: RootSystem, mask: Iterable[int] | None, lam: Weight
 ) -> tuple[int, Weight] | None:
@@ -553,7 +518,8 @@ def _weyl_quotient(factors: Iterable[int], denominator: int) -> int:
     2 <nu + rho, a^vee> over the positive roots and the denominator the same
     product at nu = 0, it is Weyl's polynomial at the lattice weight nu."""
     val, rest = divmod(math.prod(factors), denominator)
-    assert rest == 0, "the quotient must be an exact integer"
+    if rest:
+        raise AssertionError("the quotient must be an exact integer")
     return val
 
 
@@ -579,5 +545,6 @@ def parabolic_cell_count(rs: RootSystem, levi_mask: Iterable[int]) -> int:
     pairings = _pairings(sub.positive_int, sub.rho.num)
     order = _weyl_quotient((p + 2 for p in pairings), sub.weyl_denominator)
     total = weyl_order(rs)
-    assert total % order == 0, "Levi order must divide the Weyl order"
+    if total % order:
+        raise AssertionError("Levi order must divide the Weyl order")
     return total // order

@@ -11,8 +11,9 @@ builder that multiplied each object out alone, the command line's two-pass
 parser of bundle arguments, the parabolic space's properties, the chi
 table's two-sided build and graded_hom's per-degree Weyl dimensions, which
 derived their values again on every access, for every side or from every
-weight, a weight's text through Fraction coordinates, and the frozen
-dataclasses the records replaced.
+weight, a weight's text through Fraction coordinates, the frozen
+dataclasses the records replaced, and the public names and methods the
+library dropped because neither the command line nor verify called them.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from excol import (
     ParseError,
     bundle_weight,
     cohomology,
+    dual_weight,
     format_graded,
     graded_hom,
     irrep_character,
@@ -38,15 +40,16 @@ from excol import (
     kclass_of,
     make_dominant_dot,
     subsystem,
+    tensor_decompose,
     validate_weight,
-    weyl_orbit,
+    weyl_dim,
     weyl_order,
 )
 from excol.collections import _Results
-from excol.homcalc import _ChiTable, _ShapeRow, _shape, _solve_unimodular, _terms
+from excol.homcalc import _ChiTable, _ShapeRow, _shape, _terms
 from excol.roots import (
-    IntRoot, _pairings, _root_system_cached, _subsystem_cached, _weyl_quotient,
-    weyl_product,
+    IntRoot, _make, _numerators, _orbit, _pairings, _root_system_cached,
+    _simple_coefficients, _subsystem_cached, _supported_in, _weyl_quotient, weyl_product,
 )
 
 
@@ -98,7 +101,7 @@ def greedy_tensor_decompose(rs, mask, lam, mu):
     sub = subsystem(rs, mask)
 
     def dominated(lo, hi):
-        coeffs = sub.coefficients(hi - lo)
+        coeffs = coefficients(sub, hi - lo)
         return coeffs is not None and all(c >= 0 for c in coeffs)
 
     remaining = {}
@@ -153,7 +156,7 @@ def spinor_constant_search(space):
                 excol.Weight(tuple([c] + [half] * (n - 2) + [last])) for last in lasts
             ]
         if all(
-            make_dominant_dot(rs, None, lam + hyper.scale(-t)) is None
+            make_dominant_dot(rs, None, lam + scale(hyper, -t)) is None
             for lam in candidates
             for t in range(1, space.dim + 1)
         ):
@@ -329,7 +332,7 @@ def solve_coefficients(basis, target):
     """Coefficients of target over basis (linearly independent), or None,
     by Gauss-Jordan elimination over the rationals."""
     if not basis:
-        return () if target.is_zero() else None
+        return () if is_zero(target) else None
     dim = target.dim
     ncols = len(basis)
     # columns = basis vectors, augmented with target
@@ -410,7 +413,7 @@ def thread_sweep(gram, space_dim):
 
     # S^{-1} = (G^{-1} G^T)^{-1} = G^{-T} G
     transpose = [list(col) for col in zip(*gram)]
-    sinv = _solve_unimodular(transpose, gram)
+    sinv = solve_unimodular(transpose, gram)
     sign = -1 if (n - 1) % 2 else 1
 
     # window entries are (v, G v), so chi(x, v) = x . G v costs O(n)
@@ -934,13 +937,196 @@ def detail_graded_hom(src, dst):
     graded_hom_detail, validated again."""
     return {
         k: sum(mult * excol.weyl_dim(src.space.rs, None, dom) for dom, mult in pieces)
-        for k, pieces in excol.graded_hom_detail(src, dst).items()
+        for k, pieces in graded_hom_detail(src, dst).items()
     }
 
 
 def fraction_str(w):
     """A weight's text through its Fraction coordinates."""
     return "(" + ", ".join(str(c) for c in w.coords) + ")"
+
+
+# ----------------------------------------------------------------------
+# Oracles: the names neither the command line nor verify called, as the
+# library shipped them: Weight.scale, dot and is_zero, the coroot pairing and
+# reflection, Weyl orbits, Subsystem.coefficients, Character.total_dim,
+# BundleObject.tensor_line, chi of a line bundle, graded Hom by dominant
+# weight, the K-level Serre operator with the Gauss-Jordan branch of Bareiss
+# elimination it solved by, and the fibration composer.  A method is a
+# function of its record here.
+
+
+def scale(w, k):
+    k = Fraction(k)
+    return excol.Weight(Fraction(k.numerator * a, 2 * k.denominator) for a in w.num)
+
+
+def dot(w, other):
+    w._check_dim(other)
+    return Fraction(_dot(w.num, other.num), 4)
+
+
+def is_zero(w):
+    return not any(w.num)
+
+
+def coroot_pairing(v, alpha):
+    """<v, alpha^vee> = 2 (v, alpha) / (alpha, alpha)."""
+    return 2 * dot(v, alpha) / dot(alpha, alpha)
+
+
+def reflect(v, alpha):
+    return v - scale(alpha, coroot_pairing(v, alpha))
+
+
+def weyl_orbit(sub, v):
+    """Full Weyl orbit of v under the subsystem's reflections."""
+    return {_make(u) for u in _orbit(sub.simple_int, _numerators(sub, v))}
+
+
+def coefficients(sub, v):
+    """Expansion of v over the subsystem's simple roots, if in the span."""
+    coeffs = _simple_coefficients(sub.rs, v)
+    if coeffs is None or not _supported_in(coeffs, sub.mask):
+        return None
+    return tuple(Fraction(coeffs[k - 1], 4) for k in sorted(sub.mask))
+
+
+def total_dim(char):
+    return sum(char.mults.values())
+
+
+def tensor_line(bundle, line):
+    """Tensor by the line bundle with the given weight."""
+    validate_weight(bundle.space.rs, line)
+    # a line bundle weight pairs to zero with every Levi coroot
+    if not (is_dominant(bundle.space.levi, line) and is_dominant(bundle.space.levi, -line)):
+        raise ExcolError(f"{line} is not a line bundle weight on {bundle.space}")
+    return excol.BundleObject(bundle.space, bundle.hw + line, bundle.shift)
+
+
+def chi_line(rs, nu):
+    """Euler characteristic of the full-flag line bundle with weight nu."""
+    validate_weight(rs, nu)
+    return weyl_product(subsystem(rs), nu)
+
+
+def _hom_pieces(src, dst):
+    """(degree, cohomology, multiplicity) of each summand of src^* (x) dst
+    with nonzero cohomology, its degree shifted by src.shift - dst.shift."""
+    if src.space != dst.space:
+        raise ExcolError("both bundles must live on the same space")
+    rs = src.space.rs
+    mask = src.space.levi_mask
+    offset = src.shift - dst.shift
+    for piece, mult in tensor_decompose(rs, mask, dual_weight(rs, mask, src.hw), dst.hw):
+        ans = cohomology(src.space, piece)
+        if not ans.is_zero:
+            yield ans.degree + offset, ans, mult
+
+
+def graded_hom_detail(src, dst):
+    """Ext groups by degree, listing full-system dominant weights with multiplicity."""
+    out = {}
+    for k, ans, mult in _hom_pieces(src, dst):
+        out.setdefault(k, []).append((ans.dominant, mult))
+    return {k: sorted(v, key=lambda p: p[0].sort_key) for k, v in sorted(out.items())}
+
+
+def bareiss_jordan(mat, rhs):
+    """Fraction-free (Bareiss) elimination of [mat | rhs].
+
+    Returns (det mat, adj(mat) rhs); the second is None when mat is singular.
+    Every division is exact, so the whole computation stays in integers.
+    An empty rhs eliminates below each pivot only, which is all det needs;
+    otherwise above it too (Gauss-Jordan).  A row with a zero in the pivot
+    column is skipped when the pivot equals the previous one, as
+    (pk * x - 0 * y) // prev == x.
+    """
+    n = len(mat)
+    a = [list(row) + list(extra) for row, extra in zip(mat, rhs)]
+    jordan = any(rhs)
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return 0, None
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        rowk, pk = a[k], a[k][k]
+        for i in range(0 if jordan else k + 1, n):
+            f = a[i][k]
+            if i != k and (f or pk != prev):
+                a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], rowk)]
+        prev = pk
+    # after Jordan steps the left block is prev * I, the right prev * mat^-1 rhs
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
+
+
+def solve_unimodular(mat, rhs):
+    """The integer matrix X with mat X = rhs, for mat of determinant +1 or -1."""
+    det, adj = bareiss_jordan(mat, rhs)
+    if abs(det) != 1:
+        raise ExcolError(f"Gram matrix has determinant {det}, expected +1 or -1")
+    return [[det * x for x in row] for row in adj]
+
+
+def serre_operator(gram):
+    """K-level Serre operator S = G^{-1} G^T acting on coordinate columns.
+
+    Defined by chi(x, S y) = chi(y, x); requires the Gram matrix to be
+    unimodular so that S is an integer matrix.
+    """
+    if any(len(row) != len(gram) for row in gram):
+        raise ExcolError("Gram matrix must be square")
+    return solve_unimodular(gram, [list(col) for col in zip(*gram)])
+
+
+def compose_fibration(base, total, relative_twists, twist_labels=None):
+    """Product collection {pullback(base object) (x) twist} on the total space.
+
+    The relative twist index runs slowest, so each twist contributes one
+    outer block containing a pulled-back copy of the base collection.
+    Pullbacks must stay irreducible (always true for line bundles) and each
+    tensor product must be a single irreducible, or the tower is rejected.
+    """
+    if base.mode != "bundles":
+        raise ExcolError("fibration composition needs a bundle-mode base")
+    if total.rs != base.space.rs:
+        raise ExcolError("base and total space must share the root system")
+    if not base.space.crossed < total.crossed:
+        raise ExcolError(f"{total} does not fiber over {base.space}")
+    if not relative_twists:
+        raise ExcolError("at least one relative twist is required")
+    if twist_labels is None:
+        twist_labels = [f"T{k}" for k in range(len(relative_twists))]
+
+    rs = total.rs
+    mask_total = total.levi_mask
+    objects = []
+    names = []
+    for tw, tw_label in zip(relative_twists, twist_labels):
+        excol.BundleObject(total, tw)  # refuses a twist that is not a bundle on total
+        for obj, obj_label in zip(base.objects, base.labels):
+            if obj.rank != weyl_dim(rs, mask_total, obj.hw):
+                raise ExcolError(
+                    f"pullback of {obj.hw} to {total} is filtered, not irreducible"
+                )
+            summands = tensor_decompose(rs, mask_total, obj.hw, tw)
+            if len(summands) != 1 or summands[0][1] != 1:
+                raise ExcolError(
+                    f"tensor of {obj.hw} with twist {tw} is not irreducible on {total}"
+                )
+            objects.append(excol.BundleObject(total, summands[0][0], obj.shift))
+            names.append(f"{tw_label}*{obj_label}")
+    return excol.CollectionSpec(
+        total,
+        tuple(objects),
+        "bundles",
+        tuple(names),
+        f"compose({base.provenance})",
+    )
 
 
 # The frozen dataclasses excol's records replaced, declared as they were.  A

@@ -36,7 +36,7 @@ from excol import (
     weyl_dim,
 )
 
-from helpers import random_dominant, random_levi_dominant
+from helpers import random_dominant, random_levi_dominant, tensor_line
 
 IGR = parabolic_space("C", 3, [2])
 IF = parabolic_space("C", 3, [1, 2])
@@ -236,7 +236,7 @@ def test_criterion_10_property_suites(rng):
             e = BundleObject(space, random_levi_dominant(rng, space, span=3, half=True))
             f = BundleObject(space, random_levi_dominant(rng, space, span=3, half=True))
             forward = graded_hom(e, f)
-            twisted = graded_hom(f, e.tensor_line(k_weight))
+            twisted = graded_hom(f, tensor_line(e, k_weight))
             assert forward == {space.dim - k: d for k, d in twisted.items()}
             n += 1
     counts["serre duality"] = n

@@ -5,6 +5,7 @@ every index in the window, and Serre duality plus fibration composition
 run as randomized properties over several spaces.
 """
 
+import itertools
 import time
 
 import pytest
@@ -15,13 +16,13 @@ from excol import (
     ExcolError,
     LatticeError,
     ParseError,
+    build_igr26,
     bundle_weight,
     canonical_bundle,
     cohomology,
     dual_weight,
     format_graded,
     graded_hom,
-    graded_hom_detail,
     parabolic_space,
     pushforward,
     space_from_string,
@@ -29,8 +30,16 @@ from excol import (
     weight,
     weyl_dim,
 )
+from excol import bwb
 
-from helpers import random_levi_dominant, random_weight
+from helpers import (
+    detail_graded_hom,
+    graded_hom_detail,
+    random_levi_dominant,
+    random_weight,
+    scale,
+    tensor_line,
+)
 
 IGR = parabolic_space("C", 3, [2])
 IF = parabolic_space("C", 3, [1, 2])
@@ -85,10 +94,10 @@ class TestBundleObject:
 
     def test_tensor_line(self):
         u = BundleObject(IGR, bundle_weight(IGR, "U"))
-        tw = u.tensor_line(weight(-4, -4, 0))
+        tw = tensor_line(u, weight(-4, -4, 0))
         assert tw.hw == bundle_weight(IGR, "U(-4)")
         with pytest.raises(ExcolError):
-            u.tensor_line(weight(1, 0, 0))  # not Levi-invariant
+            tensor_line(u, weight(1, 0, 0))  # not Levi-invariant
 
     def test_shift_bookkeeping(self):
         o = BundleObject(IGR, bundle_weight(IGR, "O"))
@@ -131,7 +140,7 @@ class TestCohomology:
     [
         lambda: dual_weight(IGR.rs, None, weight("1/2", 0, 0)),
         lambda: cohomology(IGR, weight(1, 0)),
-        lambda: BundleObject(IGR, weight(0, 0, 0)).tensor_line(weight(1, 0)),
+        lambda: tensor_line(BundleObject(IGR, weight(0, 0, 0)), weight(1, 0)),
     ],
     ids=["dual-half-in-C", "cohomology-two-coordinates", "line-two-coordinates"],
 )
@@ -178,6 +187,28 @@ class TestGradedHom:
         b = BundleObject(IGR, bundle_weight(IGR, "U(-3)"))
         assert graded_hom(a, b) == {0: 6}
         assert graded_hom(b, a) == {}
+
+    def test_matches_the_detail_oracle_on_every_igr26_pair(self):
+        objs = build_igr26().objects
+        for src, dst in itertools.product(objs, repeat=2):
+            assert graded_hom(src, dst) == detail_graded_hom(src, dst), (src, dst)
+
+    def test_pieces_are_not_checked_again(self, monkeypatch):
+        # tensor_decompose returns Levi-dominant lattice weights, so graded_hom
+        # hands them to cohomology's body without its two checks
+        objs = build_igr26().objects
+        calls = []
+        for name in ("validate_weight", "is_dominant"):
+            original = getattr(bwb, name)
+            monkeypatch.setattr(
+                bwb, name, lambda *args, f=original, n=name: calls.append(n) or f(*args)
+            )
+        for src, dst in itertools.product(objs, repeat=2):
+            graded_hom(src, dst)
+        assert calls == []
+        # the public cohomology still makes both
+        cohomology(IGR, weight(0, 0, 0))
+        assert calls == ["validate_weight", "is_dominant"]
 
 
 def expected_pushforward(i, j):
@@ -392,7 +423,7 @@ class TestSpinors:
         sigma = spinor_weight(q5, 0)
         hyper = bundle_weight(q5, "O(1)")
         for t in range(-1, -6, -1):
-            assert cohomology(q5, sigma + hyper.scale(t)).is_zero
+            assert cohomology(q5, sigma + scale(hyper, t)).is_zero
         sections = cohomology(q5, sigma)
         assert (sections.degree, sections.dim) == (0, 8)
 
@@ -426,7 +457,7 @@ def test_serre_duality_symmetry(rng):
             e = BundleObject(space, random_levi_dominant(rng, space, span=3, half=True))
             f = BundleObject(space, random_levi_dominant(rng, space, span=3, half=True))
             forward = graded_hom(e, f)
-            twisted = graded_hom(f, e.tensor_line(k_weight))
+            twisted = graded_hom(f, tensor_line(e, k_weight))
             assert forward == {
                 space.dim - k: d for k, d in twisted.items()
             }, (space, e.hw, f.hw)

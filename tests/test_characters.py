@@ -16,7 +16,6 @@ from excol import (
     build_igr26,
     build_orthogonal_flag,
     build_root_system,
-    chi_line,
     clear_character_cache,
     dual_weight,
     irrep_character,
@@ -28,12 +27,12 @@ from excol import (
     verify,
     weight,
     weyl_dim,
-    weyl_orbit,
 )
 
 from excol.characters import _character_cached, _weyl_dim_cached
+from excol.roots import weyl_product
 
-from helpers import random_dominant
+from helpers import random_dominant, total_dim, weyl_orbit
 
 
 @pytest.mark.parametrize(
@@ -95,7 +94,7 @@ def test_character_c3_lambda2_by_hand():
     # fundamental (1,1,0): the 12 short-pair weights once, zero twice
     rs = build_root_system("C", 3)
     ch = irrep_character(rs, None, weight(1, 1, 0))
-    assert ch.total_dim() == 14
+    assert total_dim(ch) == 14
     assert ch.mults[weight(0, 0, 0)] == 2
     orbit = weyl_orbit(subsystem(rs, None), weight(1, 1, 0))
     assert len(orbit) == 12
@@ -330,5 +329,5 @@ def test_verify_report_is_the_same_warm_and_after_a_clear():
         clear_character_cache()
         assert _memo_sizes() == [0, 0]
         # chi of a line bundle is a closed form: no memo is left behind
-        assert not hasattr(chi_line, "cache_info")
+        assert not hasattr(weyl_product, "cache_info")
         assert report() == warm

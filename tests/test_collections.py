@@ -23,7 +23,6 @@ from excol import (
     build_orthogonal_flag,
     build_quadric,
     build_symplectic_flag,
-    compose_fibration,
     dump_collection,
     kclass_of,
     load_collection,
@@ -34,7 +33,7 @@ from excol import (
 from excol import bwb as bwb_module
 from excol import collections as collections_module
 from excol import homcalc, roots
-from helpers import check_diag_exact, check_pair_exact, fraction_det
+from helpers import check_diag_exact, check_pair_exact, compose_fibration, fraction_det
 
 IGR = parabolic_space("C", 3, [2])
 
@@ -441,7 +440,7 @@ def _spy_on_bareiss(monkeypatch):
     """The matrices homcalc._bareiss is called on from now on."""
     calls = []
     bareiss = homcalc._bareiss
-    monkeypatch.setattr(homcalc, "_bareiss", lambda m, rhs: calls.append(m) or bareiss(m, rhs))
+    monkeypatch.setattr(homcalc, "_bareiss", lambda m: calls.append(m) or bareiss(m))
     return calls
 
 

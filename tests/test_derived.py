@@ -32,7 +32,6 @@ from excol import (
     dump_collection,
     euler_pairing,
     graded_hom,
-    graded_hom_detail,
     gram_matrix,
     kclass_of,
     load_collection,
@@ -47,6 +46,7 @@ from excol.roots import _root_system_cached
 from helpers import (
     detail_graded_hom,
     fraction_str,
+    graded_hom_detail,
     property_dim,
     property_levi,
     property_levi_mask,

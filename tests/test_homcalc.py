@@ -22,14 +22,12 @@ from excol import (
     build_root_system,
     build_symplectic_flag,
     bundle_weight,
-    chi_line,
     euler_pairing,
     gram_matrix,
     graded_hom,
     kclass_of,
     mutate_pair_k,
     parabolic_space,
-    serre_operator,
     subsystem,
     thread_check,
     weight,
@@ -37,7 +35,7 @@ from excol import (
 from excol import homcalc, roots
 from excol.homcalc import _det_exact
 
-from helpers import random_levi_dominant
+from helpers import chi_line, random_levi_dominant, serre_operator, tensor_line
 
 IGR = parabolic_space("C", 3, [2])
 P1 = parabolic_space("A", 1, [1])
@@ -404,7 +402,7 @@ def test_twist_invariance_of_gram():
     # tensoring every object by the same line bundle fixes all pairings
     coll = build_igr26()
     line = bundle_weight(IGR, "O(1)")
-    twisted = [obj.tensor_line(line) for obj in coll.objects]
+    twisted = [tensor_line(obj, line) for obj in coll.objects]
     assert gram_matrix(twisted) == gram_matrix(list(coll.objects))
 
 
