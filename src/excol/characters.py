@@ -2,8 +2,11 @@
 
 Characters are finite multiplicity maps weight -> positive integer.  The
 irreducible character is computed by Freudenthal's recursion over the
-subsystem, dimensions by the Weyl product formula (roots.weyl_product),
-tensor products by the Brauer-Klimyk (Racah-Speiser) formula.
+dominant weights of V_lam alone, walked down from lam by positive roots and
+taken in decreasing |mu + rho|^2, its root strings stopped at the first
+non-weight; so its work follows the number of weights.  Dimensions come from
+the Weyl product formula (roots.weyl_product), tensor products from the
+Brauer-Klimyk (Racah-Speiser) formula.
 
 All of it is integer arithmetic on doubled coordinates, through the
 numerator helpers of roots.  Characters and Weyl dimensions are memoised in
@@ -82,48 +85,40 @@ def _weyl_dim_cached(sub: Subsystem, lam: Weight) -> int:
 
 
 def _freudenthal(sub: Subsystem, lam: Weight) -> dict[Weight, int]:
-    if not sub.positive_roots:
-        return {lam: 1}
-
     # Doubled coordinates throughout, so every norm and pairing is an
     # integer, four times its true value.
     simple = sub.simple_int
     top = lam.num
-    lam_norm = _dot(top, top)
     rho = sub.rho.num
     top_norm = _dot(_add(top, rho), _add(top, rho))
 
-    # BFS through lam minus nonnegative combinations of subsystem simple
-    # roots, pruned by the orbit norm bound |nu| <= |lam|.  Layer index is
-    # the height of lam - nu, so dominant weights come out height-ordered.
-    layers: list[list[tuple[int, ...]]] = [[top]]
-    seen = {top}
-    while layers[-1]:
-        nxt: list[tuple[int, ...]] = []
-        for v in layers[-1]:
-            for a in sub.simple_roots:
-                u = tuple(map(operator.sub, v, a.num))
-                if u not in seen and _dot(u, u) <= lam_norm:
-                    seen.add(u)
-                    nxt.append(u)
-        layers.append(nxt)
-    dominant_by_height = [
-        w for layer in layers for w in sorted(layer)
-        if all(p >= 0 for p in _pairings(simple, w))
-    ]
+    # The dominant weights of V_lam, each with its |mu + rho|^2: a cover in
+    # the dominance order on dominant weights differs by a positive root
+    # (Stembridge, "The partial order of dominant weights", Adv. Math. 1998),
+    # so the walk down from lam through dominant weights reaches them all.
+    norm = {top: top_norm}
+    walk = [top]
+    for v in walk:
+        for a in sub.positive_roots:
+            u = tuple(map(operator.sub, v, a.num))
+            if u not in norm and all(p >= 0 for p in _pairings(simple, u)):
+                shifted = _add(u, rho)
+                norm[u] = _dot(shifted, shifted)
+                walk.append(u)
 
+    # |mu + rho|^2 falls strictly along dominance, so in decreasing norm the
+    # dominant form of every mu + k a (k >= 1) is done before mu.  A weight
+    # string is unbroken (Humphreys, Introduction to Lie Algebras, 21.3), so
+    # it ends at the first nu whose dominant form has no multiplicity yet.
     mult = {top: 1}
-    for mu in dominant_by_height[1:]:
+    for mu in sorted(norm, key=lambda w: (-norm[w], w))[1:]:
         acc = 0
         for a in sub.positive_roots:
             nu = _add(mu, a.num)
-            while _dot(nu, nu) <= lam_norm:
-                m = mult.get(_dominantize(simple, nu), 0)
-                if m:
-                    acc += m * _dot(nu, a.num)
+            while m := mult.get(_dominantize(simple, nu)):
+                acc += m * _dot(nu, a.num)
                 nu = _add(nu, a.num)
-        shifted = _add(mu, rho)
-        denom = top_norm - _dot(shifted, shifted)
+        denom = top_norm - norm[mu]
         if denom <= 0:
             raise AssertionError("Freudenthal denominator must be positive below lam")
         val, rest = divmod(2 * acc, denom)

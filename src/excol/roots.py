@@ -33,9 +33,9 @@ MAX_RANK = 20
 # orthogonal:6 (46,080 classes) in 3.6-3.9 s and 204 MB (4.4 KB a class).
 MAX_SYMPLECTIC_RANK = 7
 MAX_ORTHOGONAL_RANK = 6
-# Most objects gram_matrix accepts.  verify on 3,840 (rank 5) takes 2.7-3.0 s and
-# 149 MB (symplectic:5), 17 s and 249 MB (orthogonal:5, chi_only), growing with the
-# n^2 entries; rank 6's 46,080 would need at least 17 GB.
+# Most objects gram_matrix accepts.  Text verify on 3,840 (rank 5) takes 1.5-2.3 s
+# and 149 MB (symplectic:5), 9.3-11.5 s and 249 MB (orthogonal:5, chi_only) on a
+# 2-CPU host, growing with the n^2 entries; rank 6's 46,080 would need at least 17 GB.
 MAX_GRAM_OBJECTS = 10_000
 
 __all__ = [

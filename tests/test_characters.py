@@ -6,6 +6,7 @@ machinery; higher-rank cases are pinned by hand-derived weight multisets
 and by conservation laws.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from excol import (
     build_igr26,
     build_orthogonal_flag,
     build_root_system,
+    bundle_weight,
     clear_character_cache,
     dual_weight,
     irrep_character,
@@ -166,6 +168,30 @@ def test_empty_levi_character_is_the_weight_itself():
     ch = irrep_character(rs, [], weight(-3, 5))
     assert ch.mults == {weight(-3, 5): 1}
     assert weyl_dim(rs, [], weight(-3, 5)) == 1
+
+
+def _compositions(k, parts):
+    """Every (a_1, ..., a_parts) of nonnegative integers with sum k."""
+    for bars in itertools.combinations(range(k + parts - 1), parts - 1):
+        edges = (-1, *bars, k + parts - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+@pytest.mark.parametrize(
+    "rank,crossed,k,count",
+    [(8, 4, 12, 455), (8, 4, 40, 12_341), (2, 2, 1000, 1001)],
+    ids=["A8:P4-S^12U", "A8:P4-S^40U", "A2:P2-S^1000U"],
+)
+def test_symmetric_power_of_u_matches_its_closed_form(rank, crossed, k, count):
+    # S^kU is multiplicity-free: its weights are -(a_1, ..., a_r) on the
+    # tautological block over every composition of k into r = crossed parts.
+    # A2:P2's Levi has rank one, so each root string is long.
+    space = parabolic_space("A", rank, [crossed])
+    lam = bundle_weight(space, f"S^{k}U")
+    pad = (0,) * (rank + 1 - crossed)
+    expected = {weight(*(-a for a in c), *pad): 1 for c in _compositions(k, crossed)}
+    assert len(expected) == count
+    assert irrep_character(space.rs, space.levi_mask, lam).mults == expected
 
 
 def test_character_weights_are_orbit_constant(rng):

@@ -72,6 +72,13 @@ class TestComputeCommands:
         )
         assert json.loads(out) == {"dims": {"7": 1}}
 
+    def test_hom_on_a_large_character(self, capsys):
+        # S^12U on A8:P4 has 455 weights
+        rc, out, _ = run(
+            capsys, "hom", "--space", "A8:P4", "--from", "S^12U", "--to", "S^12U(-1)"
+        )
+        assert (rc, out) == (0, "k^810616950 in degree 5\n")
+
     def test_push_golden(self, capsys):
         rc, out, _ = run(
             capsys, "push", "--space", "C3:P1,2", "--base", "C3:P2",

@@ -226,6 +226,7 @@ QUERIES = [
     ["hom", "--space=C3:P2", "--from=U*(1)", "--to=U(-4)"],
     ["hom", "--space=B3:P1", "--from=Sigma(-1)", "--to=O(2)"],
     ["hom", "--space=A3:P2", "--from=S^2U(-1)", "--to=O(1)"],
+    ["hom", "--space=A8:P4", "--from=S^12U", "--to=S^12U(-1)"],
     ["push", "--space=C3:P1,2", "--base=C3:P2", "--bundle=(-1,0,0)"],
     ["canonical", "--space=C3:P1,3"],
 ]

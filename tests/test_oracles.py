@@ -463,6 +463,16 @@ def test_weyl_dim_and_character_match_fraction_oracle(family, rank, rng):
                 assert irrep_character(rs, mask, small).mults == fraction_freudenthal(
                     rs, mask, small
                 )
+    if rank <= 4:
+        # span 2, half-integral included, where the oracle's ball search
+        # holds many more lattice points than the character has weights
+        for mask in _masks(rng, rank):
+            sub = subsystem(rs, mask)
+            for v in _lattice_weights(rng, rs, 2, 2):
+                lam = fraction_plain_dominantize(sub, v)
+                assert irrep_character(rs, mask, lam).mults == fraction_freudenthal(
+                    rs, mask, lam
+                )
 
 
 @pytest.mark.parametrize("family,rank", INTEGER_CORE_SYSTEMS)
